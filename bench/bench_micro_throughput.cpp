@@ -1,14 +1,17 @@
 // Microbenchmarks (google-benchmark): throughput of the components on
 // BotMeter's hot path — domain generation, the DNS cache, the matcher, the
-// analytical inversions, and the full per-epoch simulation.
+// analytical inversions, the Bernoulli bootstrap interval, and the full
+// per-epoch simulation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "botnet/simulator.hpp"
+#include "detect/detection_window.hpp"
 #include "detect/matcher.hpp"
 #include "dga/domain_gen.hpp"
 #include "dga/families.hpp"
@@ -110,6 +113,47 @@ void BM_BernoulliCoverageInversion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BernoulliCoverageInversion);
+
+// One Bernoulli interval (point estimate plus the 32-resample bootstrap) on
+// a newGoZ cell of N bots, with no EstimationContext so no memo or shared
+// table hides the per-cell cost. The cell carries the model's expected
+// statistics at N: E[distinct] NXD positions forwarded E[forwards] times in
+// all, so the estimate lands near N — in the coverage regime at 16 bots and
+// the forwarded-count regime at 1024 and 16384.
+void BM_BernoulliInterval(benchmark::State& state) {
+  const dga::DgaConfig config = dga::newgoz_config();
+  auto pool_model = dga::make_pool_model(config);
+  const dga::EpochPool& pool = pool_model->epoch_pool(0);
+  const detect::DetectionWindow window = detect::perfect_detection(pool);
+  const auto bots = static_cast<double>(state.range(0));
+  estimators::EpochObservation obs;
+  obs.config = &config;
+  obs.pool = &pool;
+  obs.window = &window;
+  const auto distinct = static_cast<std::uint32_t>(
+      estimators::BernoulliEstimator::expected_coverage(pool, config, bots,
+                                                        {}));
+  const auto forwards = static_cast<std::uint32_t>(
+      estimators::BernoulliEstimator::expected_forward_count(
+          pool, config, bots, obs.ttl.negative, obs.window_length, {}));
+  std::vector<std::uint32_t> nxds;
+  for (std::uint32_t d = 0; d < pool.size() && nxds.size() < distinct; ++d) {
+    if (!pool.is_valid_position(d)) nxds.push_back(d);
+  }
+  for (std::uint32_t i = 0; i < std::max(forwards, distinct); ++i) {
+    obs.lookups.push_back({TimePoint{i}, nxds[i % nxds.size()], false});
+  }
+  const estimators::BernoulliEstimator bernoulli;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bernoulli.estimate_with_interval(obs));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BernoulliInterval)
+    ->Arg(16)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EpochSimulation(benchmark::State& state) {
   botnet::SimulationConfig config;

@@ -156,8 +156,8 @@ void ClusterRuntime::drain_close_latencies(Shard& shard) {
 }
 
 void ClusterRuntime::handle_close(std::size_t shard, std::int64_t epoch) {
-  // Runs on the shard's thread (or the control thread during finish()),
-  // immediately after the engine appended the epoch's cell row.
+  // Runs on the shard's thread, immediately after the engine appended the
+  // epoch's cell row.
   const auto rows = shards_[shard]->engine->closed_rows();
   if (instr_ && !replaying_) {
     const double now = obs_now_ms();
@@ -265,7 +265,12 @@ void ClusterRuntime::shard_main(std::size_t index) {
       std::unique_lock<std::mutex> lock(shard.mu);
       for (;;) {
         if (!shard.queue.empty()) break;  // drain before stop or pause
-        if (shard.stop) return;
+        if (shard.stop) {
+          const bool close = shard.close_on_stop;
+          lock.unlock();
+          if (close) close_shard(shard);
+          return;
+        }
         if (shard.pause) {
           shard.idle = true;
           shard.cv_idle.notify_all();
@@ -419,11 +424,12 @@ void ClusterRuntime::resume_threads() {
   }
 }
 
-void ClusterRuntime::stop_threads() {
+void ClusterRuntime::stop_threads(bool close_engines) {
   if (!started_) return;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->stop = true;
+    shard->close_on_stop = close_engines;
     shard->cv_pop.notify_all();
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -582,19 +588,29 @@ void ClusterRuntime::feed_advance(std::size_t shard, TimePoint watermark) {
 
 // --- finish -----------------------------------------------------------------
 
-core::LandscapeReport ClusterRuntime::finish() {
-  if (finished_) throw ConfigError("ClusterRuntime: finish() called twice");
-  flush();
-  stop_threads();
-  finished_ = true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    // Closes every remaining epoch; each close offers its row to the merger
-    // through the on_epoch_close wiring. The per-shard report is the merged
-    // report's restriction to the shard's servers — nothing to keep.
+void ClusterRuntime::close_shard(Shard& shard) {
+  // Closes every remaining epoch; each close offers its row to the merger
+  // through the on_epoch_close wiring. The per-shard report is the merged
+  // report's restriction to the shard's servers — nothing to keep.
+  try {
     (void)shard.engine->finish();
     drain_close_latencies(shard);
     mirror_counters(shard);
+  } catch (...) {
+    shard.close_error = std::current_exception();
+  }
+}
+
+core::LandscapeReport ClusterRuntime::finish() {
+  if (finished_) throw ConfigError("ClusterRuntime: finish() called twice");
+  flush();
+  // Every shard closes its trailing epochs on its own thread; the merger is
+  // mutex-guarded and publishes in epoch order whichever shard closes last.
+  ensure_started();
+  stop_threads(/*close_engines=*/true);
+  finished_ = true;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->close_error) std::rethrow_exception(shard->close_error);
   }
   core::LandscapeReport report = merger_.assemble(estimator_name_);
   if (config_.meter.metrics != nullptr) {

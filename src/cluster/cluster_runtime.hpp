@@ -59,6 +59,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -365,8 +366,7 @@ class ClusterRuntime {
     ShardScatter scatter;
     /// How many of the engine's close_latencies_ms() entries were already
     /// drained into the lag tracker's epoch_close stage. Touched only by
-    /// whichever thread currently drives the engine (shard thread, or the
-    /// control thread during finish()).
+    /// the shard thread.
     std::size_t close_latency_cursor = 0;
 
     std::mutex mu;
@@ -375,8 +375,13 @@ class ClusterRuntime {
     std::condition_variable cv_idle;   // checkpoint waits: thread paused
     std::deque<ShardBatch> queue;
     bool stop = false;
+    /// Set with `stop` by finish(): the thread closes the engine's remaining
+    /// epochs before it exits, so the shards' trailing closes overlap.
+    bool close_on_stop = false;
     bool pause = false;
     bool idle = false;
+    /// What the trailing close threw, rethrown by finish() on its thread.
+    std::exception_ptr close_error;
 
     std::deque<std::string> storage;
     std::vector<std::string_view> table;
@@ -412,7 +417,11 @@ class ClusterRuntime {
   void feed_advance(std::size_t shard, TimePoint watermark);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
-  void stop_threads();
+  /// Stops and joins the shard threads; with `close_engines` each thread
+  /// first closes its engine's remaining epochs (finish()).
+  void stop_threads(bool close_engines = false);
+  /// A shard thread's last act under finish(): close every remaining epoch.
+  void close_shard(Shard& shard);
   void pause_threads();
   void resume_threads();
   /// Instrumentation clock: the attached trace session's timeline when there

@@ -1,11 +1,11 @@
 #include "estimators/bernoulli.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -58,13 +58,27 @@ std::map<std::uint32_t, std::uint32_t> coverage_weight_histogram(
   return histogram;
 }
 
-/// Count of distinct observed NXD positions.
+/// Count of distinct observed NXD positions: a pool-sized bitmap counts each
+/// position on its first sighting. Positions past the pool (only a corrupted
+/// stream carries them) are deduplicated on the side so the count stays the
+/// plain distinct count of the stream.
 double observed_distinct_nxds(const EpochObservation& obs) {
-  std::unordered_set<std::uint32_t> distinct;
+  std::vector<bool> seen(obs.pool->size());
+  std::vector<std::uint32_t> outside;
+  std::uint64_t distinct = 0;
   for (const detect::MatchedLookup& lookup : obs.lookups) {
-    if (!lookup.is_valid_domain) distinct.insert(lookup.pool_position);
+    if (lookup.is_valid_domain) continue;
+    if (lookup.pool_position >= seen.size()) {
+      outside.push_back(lookup.pool_position);
+    } else if (!seen[lookup.pool_position]) {
+      seen[lookup.pool_position] = true;
+      ++distinct;
+    }
   }
-  return static_cast<double>(distinct.size());
+  std::sort(outside.begin(), outside.end());
+  distinct += static_cast<std::uint64_t>(
+      std::unique(outside.begin(), outside.end()) - outside.begin());
+  return static_cast<double>(distinct);
 }
 
 /// Count of observed (forwarded) NXD lookups, duplicates included.
@@ -272,6 +286,294 @@ double ttl_fraction_for(Duration negative_ttl, Duration window_length,
          static_cast<double>(window_length.millis());
 }
 
+/// Length of the run a bot starting at each pool position walks: the NXDs
+/// up to the next valid position, capped at theta_q (0 on a valid position).
+/// Two backward laps around the ring: the first settles every position up
+/// to the last valid one, the second carries the wrapped continuation past
+/// position 0 into the positions behind it. Requires a valid position.
+std::vector<std::uint32_t> run_lengths(const dga::EpochPool& pool,
+                                       std::uint32_t theta_q) {
+  const std::uint32_t size = pool.size();
+  std::vector<bool> valid(size);
+  for (const std::uint32_t pos : pool.valid_positions) valid[pos] = true;
+  std::vector<std::uint32_t> run(size, 0);
+  for (int lap = 0; lap < 2; ++lap) {
+    for (std::uint32_t pos = size; pos-- > 0;) {
+      const std::uint32_t next = run[pos + 1 == size ? 0 : pos + 1];
+      run[pos] = valid[pos] ? 0 : (next < theta_q ? next + 1 : theta_q);
+    }
+  }
+  return run;
+}
+
+/// Sorts v by key. Insertion sort, linear when every element already sits
+/// near its place (bots scattered into their t0 buckets, arrivals gathered
+/// in t0 order); past a few shifts per element it hands over to std::sort,
+/// so a poorly ordered input still costs O(n log n).
+template <typename T, typename Key>
+void sort_nearly_sorted(std::vector<T>& v, Key key) {
+  std::size_t budget = 8 * v.size();
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    const T x = v[i];
+    std::size_t j = i;
+    for (; j > 0 && key(v[j - 1]) > key(x) && budget > 0; --j, --budget) {
+      v[j] = v[j - 1];
+    }
+    v[j] = x;
+    if (budget == 0) {
+      std::sort(v.begin(), v.end(),
+                [&](const T& a, const T& b) { return key(a) < key(b); });
+      return;
+    }
+  }
+}
+
+/// One bootstrap resample of the forwarded-count statistic, swept domain by
+/// domain around the ring.
+///
+/// Bot b starts at s_b at time t0_b and reaches domain s_b + k at
+/// t0_b + k * step for k < run[s_b]. A domain forwards the greedy chain of
+/// its arrivals: the earliest, then the earliest at or after the previous
+/// forward plus the negative TTL, until no arrival is left inside the
+/// window. The bots active at the current domain sit in a bitset over their
+/// t0 rank, updated by one toggle as each run enters and leaves; a summary
+/// bitset of its non-empty words keeps the walk to the next active rank
+/// short however sparse the set is.
+///
+/// A domain whose arrivals are sparse on the TTL scale forwards most of
+/// them, so its chain comes from sorting them whole. A dense domain is
+/// answered link by link instead: every arrival lies in [t0, t0 + reach],
+/// so a link only scans the active bots with t0 >= bound - reach and stops
+/// at the first t0 past the best arrival found, skipping the bots the TTL
+/// blocks. Both compute the same chain over the same arrivals.
+class ForwardSweep {
+ public:
+  ForwardSweep(const std::vector<std::uint32_t>& run, std::uint32_t theta_q,
+               double step_fraction, double ttl_fraction)
+      : run_(run),
+        step_(step_fraction),
+        ttl_(ttl_fraction),
+        // Slack far above the rounding of t0 + k * step.
+        reach_(static_cast<double>(theta_q) * step_fraction * (1.0 + 1e-9) +
+               1e-9) {}
+
+  /// Draws `bots` (start, then t0, per bot — the order the statistic has
+  /// always been drawn in) and returns the kept forwards; the thinning draws
+  /// run in domain order, then time order.
+  double resample(Rng& rng, std::uint32_t bots, double keep) {
+    const auto size = static_cast<std::uint32_t>(run_.size());
+    drawn_.resize(bots);
+    for (Bot& bot : drawn_) {
+      bot.start = static_cast<std::uint32_t>(rng.uniform(size));
+      bot.t0 = rng.uniform01();
+    }
+    // Rank by t0: a counting sort into N buckets over [0, 1), about one bot
+    // each, then a sort within them. bucket_start_[j] stays as the rank index:
+    // the first rank whose t0 maps to bucket j or later.
+    bots_.resize(bots);
+    bucket_start_.assign(static_cast<std::size_t>(bots) + 1, 0);
+    for (const Bot& bot : drawn_) ++bucket_start_[bucket_of(bot.t0) + 1];
+    for (std::uint32_t j = 0; j < bots; ++j) {
+      bucket_start_[j + 1] += bucket_start_[j];
+    }
+    fill_.assign(bucket_start_.begin(), bucket_start_.end() - 1);
+    for (const Bot& bot : drawn_) bots_[fill_[bucket_of(bot.t0)]++] = bot;
+    sort_nearly_sorted(bots_, [](const Bot& bot) { return bot.t0; });
+
+    // Toggle events per domain, bucketed by counting sort: a run enters at
+    // its start and leaves one past its end; a run wrapping past position 0
+    // is active from the sweep's outset.
+    active_.assign((static_cast<std::size_t>(bots) + 63) / 64, 0);
+    summary_.assign((active_.size() + 63) / 64, 0);
+    std::uint32_t active = 0;
+    offsets_.assign(static_cast<std::size_t>(size) + 1, 0);
+    const auto for_each_event = [&](auto&& emit) {
+      for (std::uint32_t rank = 0; rank < bots; ++rank) {
+        const std::uint32_t start = bots_[rank].start;
+        const std::uint32_t end = start + run_[start];
+        if (end == start) continue;
+        emit(start, rank);
+        if (end < size) {
+          emit(end, rank);
+        } else if (end > size) {
+          emit(end - size, rank);
+        }
+      }
+    };
+    for_each_event([&](std::uint32_t d, std::uint32_t) { ++offsets_[d + 1]; });
+    for (std::uint32_t d = 0; d < size; ++d) offsets_[d + 1] += offsets_[d];
+    events_.resize(offsets_[size]);
+    fill_ = offsets_;
+    for_each_event([&](std::uint32_t d, std::uint32_t rank) {
+      events_[fill_[d]++] = rank;
+    });
+    for (std::uint32_t rank = 0; rank < bots; ++rank) {
+      const std::uint32_t start = bots_[rank].start;
+      if (start + run_[start] > size) {
+        toggle(rank);
+        ++active;
+      }
+    }
+
+    double forwards = 0.0;
+    for (std::uint32_t d = 0; d < size; ++d) {
+      for (std::uint32_t e = offsets_[d]; e < offsets_[d + 1]; ++e) {
+        active = toggle(events_[e]) ? active + 1 : active - 1;
+      }
+      if (active == 0) continue;
+      const bool sparse =
+          static_cast<double>(active) * ttl_ < kSortedArrivalsPerTtl;
+      forwards += sparse ? sorted_chain(d, rng, keep)
+                         : queried_chain(d, rng, keep);
+    }
+    return forwards;
+  }
+
+ private:
+  struct Bot {
+    double t0;
+    std::uint32_t start;
+  };
+
+  /// Below this many arrivals per TTL window, sorting a domain's arrivals
+  /// whole is cheaper than one rank-index query per chain link.
+  static constexpr double kSortedArrivalsPerTtl = 6.0;
+
+  /// Arrival of the bot at `rank` at domain d.
+  [[nodiscard]] double arrival(std::size_t rank, std::uint32_t d) const {
+    const Bot& bot = bots_[rank];
+    const std::uint32_t k = d >= bot.start
+                                ? d - bot.start
+                                : d + static_cast<std::uint32_t>(run_.size()) -
+                                      bot.start;
+    return bot.t0 + k * step_;
+  }
+
+  /// Kept forwards of domain d: its arrivals, gathered in t0 order (so
+  /// nearly sorted: each lies within reach of its t0), sorted and scanned
+  /// greedily.
+  double sorted_chain(std::uint32_t d, Rng& rng, double keep) {
+    arrivals_.clear();
+    visit_active(0, [&](std::size_t rank) {
+      arrivals_.push_back(arrival(rank, d));
+      return true;
+    });
+    sort_nearly_sorted(arrivals_, [](double t) { return t; });
+    double forwards = 0.0;
+    double blocked_until = -1.0;
+    for (const double t : arrivals_) {
+      if (t >= 1.0) break;  // spilled past the window
+      if (t >= blocked_until) {
+        if (keep >= 1.0 || rng.bernoulli(keep)) forwards += 1.0;
+        blocked_until = t + ttl_;
+      }
+    }
+    return forwards;
+  }
+
+  /// Kept forwards of domain d, one earliest-arrival query per chain link.
+  /// A dense domain's TTL is at least kSortedArrivalsPerTtl / active, far
+  /// above the spacing of doubles below 1, so t + ttl > t: arrivals tied
+  /// with a forward are blocked by it, as in the sorted scan.
+  double queried_chain(std::uint32_t d, Rng& rng, double keep) const {
+    double forwards = 0.0;
+    double bound = -1.0;
+    while (bound < 1.0) {
+      const double t = earliest_arrival(d, bound);
+      if (t >= 1.0) break;  // none left inside the window
+      if (keep >= 1.0 || rng.bernoulli(keep)) forwards += 1.0;
+      bound = t + ttl_;
+    }
+    return forwards;
+  }
+
+  /// Monotone in t, so ranks before bucket_start_[bucket_of(x)] have t0 < x.
+  [[nodiscard]] std::size_t bucket_of(double t) const {
+    const std::size_t count = bots_.size();
+    return std::min(static_cast<std::size_t>(t * static_cast<double>(count)),
+                    count - 1);
+  }
+
+  /// First rank with t0 >= x.
+  [[nodiscard]] std::size_t first_rank(double x) const {
+    if (!(x > 0.0)) return 0;
+    if (x >= 1.0) return bots_.size();
+    std::size_t rank = bucket_start_[bucket_of(x)];
+    while (rank < bots_.size() && bots_[rank].t0 < x) ++rank;
+    return rank;
+  }
+
+  /// Flips rank's bit; true when the bot became active.
+  bool toggle(std::uint32_t rank) {
+    const std::size_t w = rank >> 6;
+    active_[w] ^= std::uint64_t{1} << (rank & 63);
+    const std::uint64_t word_bit = std::uint64_t{1} << (w & 63);
+    if (active_[w] != 0) {
+      summary_[w >> 6] |= word_bit;
+    } else {
+      summary_[w >> 6] &= ~word_bit;
+    }
+    return ((active_[w] >> (rank & 63)) & 1) != 0;
+  }
+
+  /// Calls visit(rank) for the active ranks >= first, in rank order, until
+  /// it returns false. Empty words are skipped through the summary.
+  template <typename Visit>
+  void visit_active(std::size_t first, Visit&& visit) const {
+    std::size_t w = first >> 6;
+    if (w >= active_.size()) return;
+    std::uint64_t bits = active_[w] & (~std::uint64_t{0} << (first & 63));
+    for (;;) {
+      for (; bits != 0; bits &= bits - 1) {
+        if (!visit((w << 6) |
+                   static_cast<std::size_t>(std::countr_zero(bits)))) {
+          return;
+        }
+      }
+      if (++w == active_.size()) return;
+      bits = active_[w];
+      if (bits == 0) {
+        std::size_t s = w >> 6;
+        std::uint64_t words = summary_[s] & (~std::uint64_t{0} << (w & 63));
+        while (words == 0) {
+          if (++s == summary_.size()) return;
+          words = summary_[s];
+        }
+        w = (s << 6) | static_cast<std::size_t>(std::countr_zero(words));
+        bits = active_[w];
+      }
+    }
+  }
+
+  /// Earliest arrival at domain d at or after `bound`; 1.0 (the window's
+  /// end) when every such arrival falls past the window.
+  [[nodiscard]] double earliest_arrival(std::uint32_t d, double bound) const {
+    double best = 1.0;
+    visit_active(first_rank(bound - reach_), [&](std::size_t rank) {
+      // Every later arrival is later still.
+      if (bots_[rank].t0 > best) return false;
+      const double t = arrival(rank, d);
+      if (t >= bound && t < best) best = t;
+      return true;
+    });
+    return best;
+  }
+
+  const std::vector<std::uint32_t>& run_;
+  double step_;
+  double ttl_;
+  double reach_;
+  std::vector<Bot> drawn_;  // bot order
+  std::vector<Bot> bots_;   // t0 order: index = rank
+  std::vector<std::uint32_t> bucket_start_;
+  std::vector<std::uint64_t> active_;
+  std::vector<std::uint64_t> summary_;  // bit w: active_[w] != 0
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> fill_;
+  std::vector<std::uint32_t> events_;
+  std::vector<double> arrivals_;
+};
+
 /// The sufficient statistic of the coverage/forward methods, producible from
 /// either observation form. From an exact observation every field is exact;
 /// from a compact cell the distinct count comes from the KMV sketch —
@@ -396,23 +698,32 @@ IntervalEstimate interval_core(const BernoulliProblem& p,
       static_cast<std::uint32_t>(std::min(result.value + 0.5, 5e6));
   RunningStats statistic;
 
+  const std::vector<std::uint32_t> run = run_lengths(pool, config.barrel_size);
   if (!use_forward_statistic) {
     // Re-simulate the distinct-coverage statistic: N bots, random starts,
     // runs to the boundary or theta_q, thinned by the detection keep rate.
-    std::vector<bool> covered(pool.size());
+    // Each run is one contiguous ring range, marked in a difference array
+    // (a wrapping run as its two pieces) and recovered by a prefix sum.
+    const std::uint32_t size = pool.size();
+    std::vector<std::int32_t> depth(static_cast<std::size_t>(size) + 1);
     for (int r = 0; r < kResamples; ++r) {
-      std::fill(covered.begin(), covered.end(), false);
+      std::fill(depth.begin(), depth.end(), 0);
       for (std::uint32_t b = 0; b < n_hat; ++b) {
-        auto pos = static_cast<std::uint32_t>(rng.uniform(pool.size()));
-        for (std::uint32_t step = 0; step < config.barrel_size; ++step) {
-          if (pool.is_valid_position(pos)) break;
-          covered[pos] = true;
-          pos = (pos + 1) % pool.size();
+        const auto start = static_cast<std::uint32_t>(rng.uniform(size));
+        const std::uint32_t end = start + run[start];
+        ++depth[start];
+        if (end <= size) {
+          --depth[end];
+        } else {
+          ++depth[0];
+          --depth[end - size];
         }
       }
       double count = 0.0;
-      for (std::uint32_t d = 0; d < pool.size(); ++d) {
-        if (covered[d] && (keep >= 1.0 || rng.bernoulli(keep))) count += 1.0;
+      std::int32_t cover = 0;
+      for (std::uint32_t d = 0; d < size; ++d) {
+        cover += depth[d];
+        if (cover > 0 && (keep >= 1.0 || rng.bernoulli(keep))) count += 1.0;
       }
       statistic.add(count);
     }
@@ -430,32 +741,9 @@ IntervalEstimate interval_core(const BernoulliProblem& p,
     const double step_fraction =
         static_cast<double>(step.millis()) /
         static_cast<double>(p.window_length.millis());
-    std::vector<std::vector<double>> arrival_times(pool.size());
+    ForwardSweep sweep(run, config.barrel_size, step_fraction, ttl_fraction);
     for (int r = 0; r < kResamples; ++r) {
-      for (auto& times : arrival_times) times.clear();
-      for (std::uint32_t b = 0; b < n_hat; ++b) {
-        auto pos = static_cast<std::uint32_t>(rng.uniform(pool.size()));
-        const double t0 = rng.uniform01();
-        for (std::uint32_t s = 0; s < config.barrel_size; ++s) {
-          if (pool.is_valid_position(pos)) break;
-          arrival_times[pos].push_back(t0 + s * step_fraction);
-          pos = (pos + 1) % pool.size();
-        }
-      }
-      double forwards = 0.0;
-      for (auto& times : arrival_times) {
-        if (times.empty()) continue;
-        std::sort(times.begin(), times.end());
-        double blocked_until = -1.0;
-        for (double t : times) {
-          if (t >= 1.0) break;  // spilled past the window
-          if (t >= blocked_until) {
-            if (keep >= 1.0 || rng.bernoulli(keep)) forwards += 1.0;
-            blocked_until = t + ttl_fraction;
-          }
-        }
-      }
-      statistic.add(forwards);
+      statistic.add(sweep.resample(rng, n_hat, keep));
     }
   }
 

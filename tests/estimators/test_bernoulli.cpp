@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <unordered_set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -214,6 +215,38 @@ TEST(BernoulliSegmentMethodTest, EmptyObservationIsZero) {
   obs.window_length = days(1);
   const BernoulliEstimator estimator(BernoulliMethod::kSegmentExpectation);
   EXPECT_DOUBLE_EQ(estimator.estimate(obs), 0.0);
+}
+
+TEST(BernoulliEstimatorTest, DistinctCountCoversPositionsPastThePool) {
+  // The coverage estimate is a function of the distinct NXD count alone, so
+  // a stream naming three distinct positions — two of them past the pool,
+  // as only a corrupted stream would — must estimate like any other stream
+  // naming three.
+  const dga::DgaConfig config = dga::newgoz_config();
+  auto model = dga::make_pool_model(config);
+  const dga::EpochPool& pool = model->epoch_pool(0);
+  const auto window = detect::perfect_detection(pool);
+  std::vector<std::uint32_t> nxds;
+  for (std::uint32_t d = 0; nxds.size() < 3; ++d) {
+    if (!pool.is_valid_position(d)) nxds.push_back(d);
+  }
+  const auto observe = [&](const std::vector<std::uint32_t>& positions) {
+    EpochObservation obs;
+    obs.config = &config;
+    obs.pool = &pool;
+    obs.window = &window;
+    std::int64_t t = 0;
+    for (const std::uint32_t pos : positions) {
+      obs.lookups.push_back({TimePoint{t++}, pos, false});
+    }
+    return obs;
+  };
+  const BernoulliEstimator coverage(BernoulliMethod::kCoverageInversion);
+  const double in_pool = coverage.estimate(observe(nxds));
+  EXPECT_GT(in_pool, 0.0);
+  EXPECT_EQ(coverage.estimate(observe({nxds[0], pool.size() + 7, nxds[0],
+                                       pool.size() + 5, pool.size() + 7})),
+            in_pool);
 }
 
 TEST(BernoulliEstimatorTest, NamesDistinguishMethods) {

@@ -147,8 +147,9 @@ TEST(BernoulliIntervalTest, DeterministicBootstrap) {
   const auto a = bernoulli.estimate_with_interval(factory.observations()[0]);
   const auto b = bernoulli.estimate_with_interval(factory.observations()[0]);
   ASSERT_TRUE(a.interval && b.interval);
-  EXPECT_DOUBLE_EQ(a.interval->first, b.interval->first);
-  EXPECT_DOUBLE_EQ(a.interval->second, b.interval->second);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.interval->first, b.interval->first);
+  EXPECT_EQ(a.interval->second, b.interval->second);
 }
 
 TEST(BernoulliIntervalTest, SegmentMethodPointOnly) {
