@@ -3,12 +3,12 @@
 // A `CompactCell` is the sketch-backed replacement for a buffered
 // per-(server, epoch) lookup vector: exact scalar tallies (matched counts,
 // first/last timestamps), a KMV sketch of the distinct detected-NXD pool
-// positions, an optional count-min sketch of per-position forwarded counts,
-// and a fixed grid of time slots holding {NXD count, earliest timestamp} —
-// everything the compact-capable estimators consume, in O(k + slots) bytes
-// regardless of traffic volume. `CompactObservation` then plays the role of
-// `EpochObservation` for the compact path: the cell plus the same family /
-// pool / window / TTL context, handed to `Estimator::estimate_with_interval`.
+// positions, and a fixed grid of time slots holding {NXD count, earliest
+// timestamp} — everything the compact-capable estimators consume, in
+// O(k + slots) bytes regardless of traffic volume. `CompactObservation` then
+// plays the role of `EpochObservation` for the compact path: the cell plus
+// the same family / pool / window / TTL context, handed to
+// `Estimator::estimate_with_interval`.
 //
 // Cells are insertion-order invariant and merge deterministically (sketches
 // merge, scalars add, slots add with min-timestamps), so spilling an exact
@@ -40,9 +40,8 @@ class EstimationContext;
 /// cell — structures no model asked for are simply absent.
 struct CompactSupport {
   bool supported = false;
-  bool needs_distinct = false;         // KMV over detected-NXD positions
-  bool needs_position_counts = false;  // count-min per-position tallies
-  bool needs_time_slots = false;       // slotted NXD timestamps (Poisson)
+  bool needs_distinct = false;    // KMV over detected-NXD positions
+  bool needs_time_slots = false;  // slotted NXD timestamps (Poisson)
 };
 
 /// Tuning for the compact path; one config serves every cell of a run.
@@ -50,12 +49,6 @@ struct CompactObservationConfig {
   /// KMV size: cells stay exact below this many distinct NXD positions;
   /// saturated relative error is 1/sqrt(kmv_k - 2) (~3.2% at 1024).
   std::uint32_t kmv_k = 1024;
-  /// Count-min shape for the per-position tally sketch.
-  std::uint32_t cms_depth = 4;
-  std::uint32_t cms_width = 256;  // power of two
-  /// Include the count-min tally even when no estimator asked for it
-  /// (per-position forwarded-count diagnostics).
-  bool position_counts = false;
   /// Upper bound on time slots per cell; the actual count is derived from
   /// the window length and the negative-TTL activation spacing.
   std::uint32_t max_time_slots = 4096;
@@ -71,8 +64,6 @@ struct CompactCellSpec {
   std::int64_t window_ms = 0;
   std::uint32_t slot_count = 0;
   std::uint32_t kmv_k = 0;
-  std::uint32_t cms_depth = 0;
-  std::uint32_t cms_width = 0;
 
   friend bool operator==(const CompactCellSpec&, const CompactCellSpec&) = default;
 
@@ -113,11 +104,8 @@ class CompactCell {
   [[nodiscard]] std::optional<TimePoint> first_t() const;
   [[nodiscard]] std::optional<TimePoint> last_t() const;
 
-  /// Sketches; null when the spec excluded them.
+  /// The distinct sketch; null when the spec excluded it.
   [[nodiscard]] const KmvSketch* distinct_nxd() const { return kmv_ ? &*kmv_ : nullptr; }
-  [[nodiscard]] const CountMinSketch* position_counts() const {
-    return cms_ ? &*cms_ : nullptr;
-  }
 
   /// Time-slot grid (empty spans when slot_count == 0). `slot_min_ms()[i]`
   /// is meaningful only where `slot_counts()[i] > 0`.
@@ -144,7 +132,6 @@ class CompactCell {
   std::int64_t first_ms_ = 0;  // valid iff matched_ > 0
   std::int64_t last_ms_ = 0;
   std::optional<KmvSketch> kmv_;
-  std::optional<CountMinSketch> cms_;
   std::vector<std::uint32_t> slot_counts_;
   std::vector<std::int64_t> slot_min_ms_;
 };

@@ -534,12 +534,8 @@ json::Value StreamEngine::checkpoint() const {
     fingerprint.emplace("compact_spill_threshold",
                         number(config_.compact_spill_threshold));
     fingerprint.emplace("compact_kmv_k", number(config_.compact.kmv_k));
-    fingerprint.emplace("compact_cms_depth", number(config_.compact.cms_depth));
-    fingerprint.emplace("compact_cms_width", number(config_.compact.cms_width));
     fingerprint.emplace("compact_max_time_slots",
                         number(config_.compact.max_time_slots));
-    fingerprint.emplace("compact_position_counts",
-                        json::Value(config_.compact.position_counts));
   }
 
   json::Array closed;
@@ -676,14 +672,15 @@ void StreamEngine::restore(const json::Value& checkpoint) {
     // would silently mix error regimes.
     require("compact_spill_threshold", config_.compact_spill_threshold);
     require("compact_kmv_k", config_.compact.kmv_k);
-    require("compact_cms_depth", config_.compact.cms_depth);
-    require("compact_cms_width", config_.compact.cms_width);
     require("compact_max_time_slots", config_.compact.max_time_slots);
-    if (fp.at("compact_position_counts").as_bool() !=
-        config_.compact.position_counts) {
-      throw DataError("StreamEngine::restore: checkpoint was taken under a "
-                      "different configuration (compact_position_counts "
-                      "mismatch)");
+    // Older checkpoints also carry the shape of a since-removed count-min
+    // tally (compact_cms_depth/width). It only shaped cells when
+    // compact_position_counts was on, which no tool ever set.
+    if (const json::Value* counts = fp.find("compact_position_counts");
+        counts != nullptr && counts->as_bool()) {
+      throw DataError("StreamEngine::restore: checkpoint carries count-min "
+                      "position tallies (compact_position_counts true), "
+                      "which are no longer supported");
     }
   }
   // An exact checkpoint *is* restorable into a compact engine: the exact

@@ -64,7 +64,6 @@ TEST(CompactSpecTest, StructuresFollowEstimatorSupport) {
   const CompactCellSpec spec = make_compact_spec(
       config, distinct_only, TimePoint{0}, days(1), dns::TtlPolicy{});
   EXPECT_EQ(spec.kmv_k, 64u);
-  EXPECT_EQ(spec.cms_depth, 0u);
   EXPECT_EQ(spec.slot_count, 0u);
   EXPECT_EQ(spec.window_ms, days(1).millis());
 

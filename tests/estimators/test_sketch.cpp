@@ -136,99 +136,5 @@ TEST(KmvSketchTest, MemoryConstantAfterConstruction) {
   EXPECT_EQ(sketch.memory_bytes(), at_birth);
 }
 
-// --- count-min ---------------------------------------------------------------
-
-TEST(CountMinSketchTest, NeverUnderestimatesAndBoundsOverestimate) {
-  CountMinSketch sketch(4, 256);
-  std::vector<std::uint64_t> truth(512, 0);
-  std::mt19937 rng(29);
-  for (int i = 0; i < 20'000; ++i) {
-    const auto item = static_cast<std::uint32_t>(rng() % truth.size());
-    sketch.add(item);
-    ++truth[item];
-  }
-  EXPECT_EQ(sketch.total(), 20'000u);
-  std::size_t over_bound = 0;
-  const double allowance = sketch.epsilon() * static_cast<double>(sketch.total());
-  for (std::uint32_t item = 0; item < truth.size(); ++item) {
-    const std::uint64_t q = sketch.query(item);
-    ASSERT_GE(q, truth[item]) << "count-min underestimated item " << item;
-    if (static_cast<double>(q - truth[item]) > allowance) ++over_bound;
-  }
-  // The epsilon bound holds per query with probability >= 1 - e^-depth
-  // (~98% at depth 4); allow a small tail.
-  EXPECT_LE(over_bound, truth.size() / 10);
-}
-
-TEST(CountMinSketchTest, MergeEqualsConcatenatedStream) {
-  CountMinSketch a(4, 64);
-  CountMinSketch b(4, 64);
-  CountMinSketch whole(4, 64);
-  for (std::uint32_t i = 0; i < 1'000; ++i) {
-    const std::uint32_t item = i * 2654435761u;
-    (i % 2 == 0 ? a : b).add(item, 1 + i % 5);
-    whole.add(item, 1 + i % 5);
-  }
-  a.merge(b);
-  EXPECT_EQ(json::write(a.serialize()), json::write(whole.serialize()));
-}
-
-TEST(CountMinSketchTest, SerializeParseRoundTrip) {
-  CountMinSketch sketch(3, 32);
-  for (std::uint32_t i = 0; i < 500; ++i) sketch.add(i * 7919u, i % 3 + 1);
-  const CountMinSketch reparsed = CountMinSketch::parse(sketch.serialize());
-  EXPECT_EQ(json::write(sketch.serialize()), json::write(reparsed.serialize()));
-  EXPECT_EQ(sketch.total(), reparsed.total());
-}
-
-TEST(CountMinSketchTest, RejectsBadShape) {
-  EXPECT_THROW(CountMinSketch(0, 64), ConfigError);
-  EXPECT_THROW(CountMinSketch(4, 63), ConfigError);  // not a power of two
-  CountMinSketch a(4, 64);
-  const CountMinSketch b(4, 128);
-  EXPECT_THROW(a.merge(b), ConfigError);
-}
-
-// --- HLL ---------------------------------------------------------------------
-
-TEST(HllSketchTest, EstimateWithinErrorBound) {
-  for (std::size_t distinct : {std::size_t{100}, std::size_t{50'000}}) {
-    HllSketch sketch(12);
-    for (std::uint32_t id : distinct_ids(distinct, 13)) sketch.insert(id);
-    EXPECT_NEAR(sketch.estimate(), static_cast<double>(distinct),
-                5.0 * sketch.relative_error() * static_cast<double>(distinct))
-        << distinct << " distinct";
-  }
-}
-
-TEST(HllSketchTest, OrderInvariantMergeEqualsUnion) {
-  const std::vector<std::uint32_t> all = distinct_ids(10'000, 31);
-  HllSketch left(10);
-  HllSketch right(10);
-  HllSketch single(10);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    (i < all.size() / 3 ? left : right).insert(all[i]);
-    single.insert(all[all.size() - 1 - i]);  // reverse order
-  }
-  left.merge(right);
-  EXPECT_EQ(json::write(left.serialize()), json::write(single.serialize()));
-}
-
-TEST(HllSketchTest, SerializeParseRoundTrip) {
-  HllSketch sketch(8);
-  for (std::uint32_t id : distinct_ids(2'000, 37)) sketch.insert(id);
-  const HllSketch reparsed = HllSketch::parse(sketch.serialize());
-  EXPECT_EQ(json::write(sketch.serialize()), json::write(reparsed.serialize()));
-  EXPECT_EQ(sketch.estimate(), reparsed.estimate());
-}
-
-TEST(HllSketchTest, RejectsBadPrecision) {
-  EXPECT_THROW(HllSketch(3), ConfigError);
-  EXPECT_THROW(HllSketch(17), ConfigError);
-  HllSketch a(8);
-  const HllSketch b(9);
-  EXPECT_THROW(a.merge(b), ConfigError);
-}
-
 }  // namespace
 }  // namespace botmeter::estimators

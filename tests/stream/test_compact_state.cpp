@@ -4,6 +4,8 @@
 // the byte accounting must show the bound the sketches buy.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,6 +16,10 @@
 #include "core/botmeter.hpp"
 #include "dga/families.hpp"
 #include "stream/stream_engine.hpp"
+
+#ifndef BOTMETER_TEST_DATA_DIR
+#error "BOTMETER_TEST_DATA_DIR must name tests/stream/data"
+#endif
 
 namespace botmeter::stream {
 namespace {
@@ -168,6 +174,57 @@ TEST(CompactStateTest, CompactCheckpointRejectedByExactEngine) {
 
   StreamEngine exact(base_config(2, 2));
   EXPECT_THROW(exact.restore(checkpoint), DataError);
+}
+
+// A compact checkpoint written before the count-min tally was removed: its
+// fingerprint carries compact_cms_depth/width (4/256) and
+// compact_position_counts false, and each spilled cell's spec carries
+// cms_depth/width 0/0. Taken after 60% of simulate_stream(48, 2, 2, 67)
+// under compact_config(2, 2, 64, 16); all four buckets had spilled.
+std::string legacy_compact_checkpoint() {
+  std::ifstream file(BOTMETER_TEST_DATA_DIR "/legacy_compact_checkpoint.json");
+  return {std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+}
+
+void replace_first(std::string& text, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+}
+
+TEST(CompactStateTest, LegacyCompactCheckpointResumesBitIdentically) {
+  const auto stream = simulate_stream(48, 2, 2, 67);
+  StreamEngine reference(compact_config(2, 2, 64, 16));
+  reference.ingest(stream);
+  const core::LandscapeReport want = reference.finish();
+
+  const std::string text = legacy_compact_checkpoint();
+  ASSERT_NE(text.find("\"compact_position_counts\": false"), std::string::npos);
+  StreamEngine resumed(compact_config(2, 2, 64, 16));
+  resumed.restore(json::parse(text));
+  ASSERT_EQ(resumed.compact_spills(), 4u);
+  resumed.ingest(std::span<const dns::ForwardedLookup>(stream).subspan(
+      resumed.ingested()));
+  const core::LandscapeReport got = resumed.finish();
+  EXPECT_EQ(json::write(core::landscape_to_json(got)),
+            json::write(core::landscape_to_json(want)));
+  EXPECT_TRUE(got.servers[0].approximate);  // the sketch state crossed over
+}
+
+TEST(CompactStateTest, LegacyCountMinCheckpointsRejected) {
+  std::string position_counts = legacy_compact_checkpoint();
+  replace_first(position_counts, "\"compact_position_counts\": false",
+                "\"compact_position_counts\": true");
+  StreamEngine a(compact_config(2, 2, 64, 16));
+  EXPECT_THROW(a.restore(json::parse(position_counts)), DataError);
+
+  std::string cell_cms = legacy_compact_checkpoint();
+  replace_first(cell_cms, "\"cms_depth\": 0", "\"cms_depth\": 4");
+  StreamEngine b(compact_config(2, 2, 64, 16));
+  EXPECT_THROW(b.restore(json::parse(cell_cms)), DataError);
+  // A rejected restore leaves the engine empty and usable.
+  EXPECT_EQ(b.ingested(), 0u);
 }
 
 TEST(CompactStateTest, ConstructorRejectsEstimatorsWithoutCompactPath) {

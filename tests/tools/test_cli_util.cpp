@@ -4,6 +4,10 @@
 
 #include <array>
 
+#include "frontend.hpp"
+#include "obs/event_journal.hpp"
+#include "obs/landscape_history.hpp"
+
 namespace botmeter::tools {
 namespace {
 
@@ -62,6 +66,47 @@ TEST(CliArgsTest, EmptyCommandLine) {
   const CliArgs args = parse({});
   EXPECT_FALSE(args.flag("--viz"));
   EXPECT_EQ(args.int_or("--bots", 7), 7);
+}
+
+CliArgs meter_args(std::vector<const char*> argv) {
+  return parse(std::move(argv),
+               {"--family", "--config", "--assume-miss", "--first-epoch"});
+}
+
+TEST(FrontEndTest, FamilyAndConfigAreExclusiveAndRequired) {
+  EXPECT_THROW((void)meter_options(meter_args(
+                   {"--family", "newGoZ", "--config", "dga.json"})),
+               ConfigError);
+  EXPECT_THROW((void)meter_options(meter_args({})), ConfigError);
+  EXPECT_EQ(meter_options(meter_args({"--family", "newGoZ"})).meter.dga.name,
+            "newGoZ");
+}
+
+TEST(FrontEndTest, SlidingWindowPoolsStartAtEpochForty) {
+  EXPECT_EQ(meter_options(meter_args({"--family", "Ranbyus"})).first_epoch, 40);
+  EXPECT_EQ(meter_options(meter_args({"--family", "newGoZ"})).first_epoch, 0);
+  EXPECT_EQ(meter_options(meter_args({"--family", "Ranbyus", "--first-epoch",
+                                      "3"}))
+                .first_epoch,
+            3);
+}
+
+TEST(FrontEndTest, AssumedMissRateOnlyWhenGiven) {
+  EXPECT_FALSE(meter_options(meter_args({"--family", "newGoZ"}))
+                   .meter.assumed_miss_rate.has_value());
+  const MeterOptions given = meter_options(
+      meter_args({"--family", "newGoZ", "--assume-miss", "0.25"}));
+  EXPECT_EQ(given.meter.assumed_miss_rate, 0.25);
+}
+
+TEST(FrontEndTest, LandscapeHistoryRouteRejectsBadQueries) {
+  const obs::LandscapeHistory history;
+  const obs::EventJournal journal;
+  const Routes routes = landscape_routes(history, journal, "newGoZ");
+  const auto& route = routes.at("/landscape/history");
+  EXPECT_EQ(route({"/landscape/history", "from=soon"}).status, 400);
+  EXPECT_EQ(route({"/landscape/history", "family=Conficker.C"}).status, 404);
+  EXPECT_EQ(route({"/landscape/history", "family=newGoZ&from=0"}).status, 200);
 }
 
 }  // namespace

@@ -11,208 +11,63 @@
 // Example:
 //   botmeter_simulate --family newGoZ --bots 64 --servers 4 |
 //     botmeter_analyze --family newGoZ --servers 4 --viz
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <optional>
+#include <istream>
+#include <string>
+#include <vector>
 
-#include "cli_util.hpp"
-#include "common/parallel.hpp"
-#include "core/botmeter.hpp"
-#include "dga/config_io.hpp"
-#include "dga/families.hpp"
-#include "estimators/library.hpp"
-#include "obs/landscape_history.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "frontend.hpp"
 #include "trace/block.hpp"
 #include "trace/io.hpp"
-#include "viz/landscape.hpp"
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: botmeter_analyze (--family <name> | --config <file.json>)\n"
-    "         [--estimator timing|poisson|bernoulli|...] [--servers n]\n"
-    "         [--epochs n] [--first-epoch e] [--neg-ttl-min m]\n"
-    "         [--miss-rate x] [--assume-miss x] [--trace file] [--binary]\n"
-    "         [--viz] [--metrics-out file] [--trace-timing] [--trace-out file]\n"
-    "         [--threads n] [--history-out file] [--history-retain n]\n"
-    "reads the observable (border) trace from --trace or stdin. Binary\n"
-    "columnar traces (botmeter.trace_block.v1, see botmeter_trace_convert)\n"
-    "are detected automatically for --trace files; --binary forces the\n"
-    "binary codec for stdin.\n"
-    "--metrics-out writes a botmeter.run_report.v1 JSON document (matcher\n"
-    "tallies, per-server matched lookups and populations, stage wall times);\n"
-    "--trace-timing prints the phase timing table to stderr.\n"
-    "--threads shards matching and per-server estimation over n threads\n"
-    "(1 = serial, 0 = all cores); the landscape is bit-identical for every\n"
-    "value.\n"
-    "--history-out writes the per-epoch landscape series\n"
-    "(botmeter.landscape_series.v1 — the same document botmeter_stream\n"
-    "records at its epoch closes, byte-identical for the same trace);\n"
-    "--history-retain bounds the full-resolution ring (default 4096).\n";
+constexpr const char* kSynopsis =
+    "         [--threads n] [--trace-timing] [--trace-out file]\n";
+constexpr const char* kHelp =
+    "charts the landscape from the whole trace at once. --metrics-out writes\n"
+    "a botmeter.run_report.v1 document (matcher tallies, per-server\n"
+    "populations, stage wall times); --trace-timing prints the phase table,\n"
+    "--trace-out the Chrome trace_event spans. --threads shards matching and\n"
+    "estimation over n threads (0 = all cores), bit-identically.\n";
 
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
+int run(const botmeter::tools::CliArgs& args) {
+  using namespace botmeter;
+  tools::MeterOptions options = tools::meter_options(args);
+  core::BotMeterConfig& config = options.meter;
+  config.analyze_threads = static_cast<std::size_t>(args.int_or("--threads", 1));
 
-/// Configuration echo embedded in the run report.
-botmeter::json::Value config_echo(const botmeter::core::BotMeterConfig& c,
-                                  std::int64_t first_epoch,
-                                  std::int64_t epochs,
-                                  std::size_t server_count,
-                                  std::size_t stream_size) {
-  using botmeter::json::Value;
-  botmeter::json::Object o;
-  o.emplace("family", Value(c.dga.name));
-  o.emplace("estimator",
-            Value(c.estimator.empty() ? std::string("(recommended)")
-                                      : c.estimator));
-  o.emplace("servers", Value(static_cast<double>(server_count)));
-  o.emplace("epochs", Value(static_cast<double>(epochs)));
-  o.emplace("first_epoch", Value(static_cast<double>(first_epoch)));
-  o.emplace("detection_miss_rate", Value(c.detection_miss_rate));
-  o.emplace("neg_ttl_ms", Value(static_cast<double>(c.ttl.negative.millis())));
-  o.emplace("stream_size", Value(static_cast<double>(stream_size)));
-  return Value(std::move(o));
+  std::vector<dns::ForwardedLookup> stream;
+  tools::read_trace_input(args, [&stream](std::istream& in, bool binary) {
+    stream = binary ? trace::read_blocks(in) : trace::read_observable(in);
+  });
+  if (stream.empty()) throw DataError("empty observable trace");
+
+  tools::RunSinks sinks(args, /*live=*/false, /*spans=*/true, config);
+  config.history = sinks.history.get();
+
+  core::BotMeter meter(config);
+  {
+    obs::ScopedTimer prepare_timer(config.trace, "analyze.prepare");
+    meter.prepare_epochs(options.first_epoch, options.epoch_count);
+  }
+  const core::LandscapeReport report = meter.analyze(stream, options.server_count);
+
+  json::Object echo = tools::config_echo(options);
+  echo.emplace("stream_size", json::Value(static_cast<double>(stream.size())));
+  sinks.write(args, "botmeter_analyze", std::move(echo));
+  tools::print_landscape(args, report,
+                         "# estimator: " + report.estimator_name + ", " +
+                             std::to_string(stream.size()) +
+                             " lookups analyzed");
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace botmeter;
-  try {
-    tools::CliArgs args(argc, argv,
-                        {"--family", "--config", "--estimator", "--servers", "--trace-out",
-                         "--epochs", "--first-epoch", "--neg-ttl-min",
-                         "--miss-rate", "--assume-miss", "--trace",
-                         "--metrics-out", "--threads", "--history-out",
-                         "--history-retain"},
-                        {"--help", "--viz", "--trace-timing", "--binary"});
-    if (args.flag("--help")) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
-
-    core::BotMeterConfig config;
-    config.dga = family ? dga::family_config(*family)
-                        : config_from_file(*config_path);
-    config.estimator = args.value_or("--estimator", "");
-    config.ttl.negative = minutes(args.int_or("--neg-ttl-min", 120));
-    config.detection_miss_rate = args.double_or("--miss-rate", 0.0);
-    if (auto assume = args.value("--assume-miss")) {
-      config.assumed_miss_rate = args.double_or("--assume-miss", 0.0);
-    }
-    config.analyze_threads =
-        static_cast<std::size_t>(args.int_or("--threads", 1));
-
-    std::vector<dns::ForwardedLookup> stream;
-    if (auto path = args.value("--trace")) {
-      std::ifstream file(*path, std::ios::binary);
-      if (!file) throw DataError("cannot open " + *path);
-      stream = args.flag("--binary") || trace::sniff_block_file(file)
-                   ? trace::read_blocks(file)
-                   : trace::read_observable(file);
-    } else {
-      stream = args.flag("--binary") ? trace::read_blocks(std::cin)
-                                     : trace::read_observable(std::cin);
-    }
-    if (stream.empty()) throw DataError("empty observable trace");
-
-    const std::int64_t first_epoch = args.int_or(
-        "--first-epoch",
-        config.dga.taxonomy.pool == dga::PoolModel::kSlidingWindow ? 40 : 0);
-    const std::int64_t epochs = args.int_or("--epochs", 1);
-    auto server_count = static_cast<std::size_t>(args.int_or("--servers", 1));
-
-    set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto trace_out_path = args.value("--trace-out");
-    const bool want_trace = args.flag("--trace-timing");
-    obs::MetricsRegistry metrics;
-    obs::TraceSession trace_session;
-    if (metrics_path) config.metrics = &metrics;
-    if (metrics_path || want_trace || trace_out_path) {
-      config.trace = &trace_session;
-    }
-
-    const auto history_path = args.value("--history-out");
-    std::optional<obs::LandscapeHistory> history;
-    if (history_path) {
-      obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent = static_cast<std::size_t>(args.int_or(
-          "--history-retain",
-          static_cast<std::int64_t>(history_config.retain_recent)));
-      history.emplace(history_config);
-      config.history = &*history;
-    }
-
-    core::BotMeter meter(config);
-    {
-      obs::ScopedTimer prepare_timer(config.trace, "analyze.prepare");
-      meter.prepare_epochs(first_epoch, epochs);
-    }
-    const core::LandscapeReport report = meter.analyze(stream, server_count);
-
-    if (history_path) {
-      std::ofstream file(*history_path);
-      if (!file) throw DataError("cannot open " + *history_path);
-      file << json::write_pretty(history->to_json());
-      std::fprintf(stderr, "landscape history written to %s\n",
-                   history_path->c_str());
-    }
-
-    if (metrics_path) {
-      obs::RunReport run_report;
-      run_report.tool = "botmeter_analyze";
-      run_report.config =
-          config_echo(config, first_epoch, epochs, server_count, stream.size());
-      run_report.metrics = &metrics;
-      run_report.trace = &trace_session;
-      obs::write_report_file(run_report, *metrics_path);
-    }
-    if (want_trace) {
-      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
-    }
-    if (trace_out_path) {
-      obs::write_chrome_trace_file(trace_session, *trace_out_path);
-      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
-                   trace_out_path->c_str());
-    }
-
-    if (args.flag("--viz")) {
-      std::fputs(viz::render_landscape(report).c_str(), stdout);
-    } else {
-      std::printf("# estimator: %s, %zu lookups analyzed\n",
-                  report.estimator_name.c_str(), stream.size());
-      std::printf("%-10s %12s %18s %16s\n", "server", "population", "90%-CI",
-                  "matched_lookups");
-      for (const core::ServerEstimate& s : report.servers) {
-        char ci[32] = "-";
-        if (s.interval90) {
-          std::snprintf(ci, sizeof(ci), "[%.1f, %.1f]", s.interval90->first,
-                        s.interval90->second);
-        }
-        std::printf("server-%-3u %12.1f %18s %16llu\n", s.server.value(),
-                    s.population, ci,
-                    static_cast<unsigned long long>(s.matched_lookups));
-      }
-      std::printf("total: %.1f\n", report.total_population());
-    }
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
-  }
+  return botmeter::tools::run_tool(
+      argc, argv,
+      {"botmeter_analyze", /*live=*/false, {"--threads", "--trace-out"},
+       {"--trace-timing"}, kSynopsis, kHelp},
+      run);
 }

@@ -13,509 +13,231 @@
 //     botmeter_cluster --family newGoZ --servers 8 --shards 4
 //   botmeter_cluster --family newGoZ --simulate --bots 64 --servers 8
 //     --shards 4 --epochs 6 --listen 0 --history-out series.json
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
-#include "botnet/simulator.hpp"
-#include "cli_util.hpp"
 #include "cluster/cluster_runtime.hpp"
-#include "common/json.hpp"
-#include "common/parallel.hpp"
-#include "dga/config_io.hpp"
-#include "dga/families.hpp"
-#include "obs/event_journal.hpp"
+#include "frontend.hpp"
 #include "obs/expose.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/lag_tracker.hpp"
-#include "obs/landscape_history.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "stream/health_monitor.hpp"
-#include "trace/block.hpp"
-#include "trace/io.hpp"
-#include "viz/landscape.hpp"
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: botmeter_cluster (--family <name> | --config <file.json>)\n"
-    "         --servers n [--shards n] [--shard-threads n]\n"
-    "         [--estimator timing|poisson|bernoulli|...] [--epochs n]\n"
-    "         [--first-epoch e] [--neg-ttl-min m] [--miss-rate x]\n"
-    "         [--assume-miss x] [--lateness-ms l]\n"
-    "         [--compact-state] [--compact-spill n] [--compact-kmv-k k]\n"
-    "         [--flush-tuples n] [--queue-capacity n]\n"
-    "         [--trace file] [--binary]\n"
-    "         [--simulate --bots N [--seed s] [--granularity-ms g]]\n"
-    "         [--checkpoint-in file] [--checkpoint-out file] [--no-final]\n"
-    "         [--metrics-out file] [--viz]\n"
-    "         [--listen port] [--listen-port-file file] [--linger-ms n]\n"
-    "         [--history-out file] [--history-retain n]\n"
-    "         [--journal-out file]\n"
-    "ingests the observable (border) union feed — from --trace or stdin, or\n"
-    "generated with --simulate — scatters it across --shards stream engines\n"
-    "(contiguous server ranges, one worker thread each), and prints one line\n"
-    "per *merged* epoch plus the final global landscape, byte-identical to\n"
-    "botmeter_stream on the same feed at every shard count.\n"
-    "--trace files in the binary columnar codec (botmeter.trace_block.v1)\n"
-    "are detected automatically; --binary forces the binary codec for stdin.\n"
-    "--compact-state bounds per-shard memory: open buckets past\n"
-    "--compact-spill matched lookups fold into sketch-backed compact cells\n"
-    "(KMV size --compact-kmv-k); spilled cells' merged estimates are flagged\n"
-    "approximate with the sketch error widened into their intervals.\n"
-    "--checkpoint-in resumes from a botmeter.cluster_checkpoint.v1 file\n"
-    "(router + merge frontier + one stream checkpoint per shard);\n"
-    "--checkpoint-out writes one after ingest, before the final close.\n"
-    "--listen serves live telemetry: GET /metrics is the Prometheus text\n"
-    "exposition (cluster.* gauges carry per-shard label series), GET /healthz\n"
-    "the cluster health state folded from every shard plus the merge-frontier\n"
-    "lag (ok/degraded -> 200, unhealthy -> 503; ?format=json for the full\n"
-    "botmeter.cluster_health.v1 document), GET /landscape the latest *merged*\n"
-    "snapshot, GET /landscape/history?server=&from=&to= the retained epoch\n"
-    "series, and GET /landscape/summary per-family totals — all landscape\n"
-    "documents in the botmeter.landscape_series.v1 schema.\n"
-    "--history-out writes the retained merged landscape series after the\n"
-    "run; botmeter_top renders either the live endpoint or the file.\n"
-    "With --listen the pipeline-observability layer is also on: GET\n"
-    "/debug/lag serves the per-shard lag attribution and straggler table\n"
-    "(botmeter.lag.v1), GET /events?from=&shard= the flight-recorder journal\n"
-    "(botmeter.events.v1). --journal-out writes the journal after the run\n"
-    "and is the auto-dump target should any shard or the cluster turn\n"
-    "unhealthy mid-flight.\n";
+constexpr const char* kSynopsis =
+    "         [--shards n] [--shard-threads n] [--flush-tuples n]\n"
+    "         [--queue-capacity n] [--journal-out file]\n";
+constexpr const char* kHelp =
+    "scatters the union feed across --shards engines (contiguous server\n"
+    "ranges; each shard runs --shard-threads estimation threads and takes\n"
+    "batches of --flush-tuples through a queue of --queue-capacity batches)\n"
+    "and prints one line per merged epoch plus the final landscape,\n"
+    "byte-identical to botmeter_stream at every shard count. Checkpoints are\n"
+    "botmeter.cluster_checkpoint.v1. --metrics-out writes a\n"
+    "botmeter.run_report.v1 document.\n"
+    "GET /metrics carries per-shard cluster.* series, GET /healthz the\n"
+    "health folded over shards and the merge frontier (?format=json for\n"
+    "botmeter.cluster_health.v1), GET /debug/lag the per-shard lag and\n"
+    "straggler table (botmeter.lag.v1). --journal-out writes the event\n"
+    "journal after the run, and whenever a shard or the cluster turns\n"
+    "unhealthy.\n";
 
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
+int run(const botmeter::tools::CliArgs& args) {
+  using namespace botmeter;
+  const tools::MeterOptions options = tools::meter_options(args);
+  cluster::ClusterConfig config;
+  tools::apply_live_options(args, options, config);
+  const std::size_t shard_count =
+      static_cast<std::size_t>(args.int_or("--shards", 1));
+  config.router = cluster::ShardRouter::by_range(options.server_count, shard_count);
+  config.shard_worker_threads =
+      static_cast<std::size_t>(args.int_or("--shard-threads", 1));
+  config.flush_tuples =
+      static_cast<std::size_t>(args.int_or("--flush-tuples", 8192));
+  config.queue_capacity =
+      static_cast<std::size_t>(args.int_or("--queue-capacity", 64));
 
-/// Configuration echo embedded in the run report.
-botmeter::json::Value config_echo(const botmeter::cluster::ClusterConfig& c,
-                                  bool simulated, std::uint64_t ingested) {
-  using botmeter::json::Value;
-  botmeter::json::Object o;
-  o.emplace("family", Value(c.meter.dga.name));
-  o.emplace("estimator",
-            Value(c.meter.estimator.empty() ? std::string("(recommended)")
-                                            : c.meter.estimator));
-  o.emplace("servers", Value(static_cast<double>(c.router.server_count())));
-  o.emplace("shards", Value(static_cast<double>(c.router.shard_count())));
-  o.emplace("shard_worker_threads",
-            Value(static_cast<double>(c.shard_worker_threads)));
-  o.emplace("epochs", Value(static_cast<double>(c.epoch_count)));
-  o.emplace("first_epoch", Value(static_cast<double>(c.first_epoch)));
-  o.emplace("flush_tuples", Value(static_cast<double>(c.flush_tuples)));
-  o.emplace("queue_capacity", Value(static_cast<double>(c.queue_capacity)));
-  o.emplace("detection_miss_rate", Value(c.meter.detection_miss_rate));
-  o.emplace("source", Value(std::string(simulated ? "simulate" : "trace")));
-  o.emplace("ingested", Value(static_cast<double>(ingested)));
-  return Value(std::move(o));
+  const bool live = args.value("--listen").has_value();
+  tools::RunSinks sinks(args, live, /*spans=*/false, config.meter);
+  // Merged landscape time-series: one row per merged epoch, recorded by
+  // the runtime, queried live through the exporter and/or written after
+  // the run.
+  config.history = sinks.history.get();
+  const tools::Stopwatch wall;
+  if (live) {
+    // Per-shard monitors + frontier-lag fold; stamps the cluster state
+    // onto merged history rows.
+    config.health = stream::StreamHealthConfig{};
+  }
+
+  // Pipeline observability: the lag tracker backs /debug/lag and the lag
+  // fold in /healthz?format=json; the flight-recorder journal backs
+  // /events and the unhealthy auto-dump.
+  const auto journal_path = args.value("--journal-out");
+  std::optional<obs::LagTracker> lag;
+  std::optional<obs::EventJournal> journal;
+  if (live || journal_path) {
+    lag.emplace(shard_count);
+    config.lag = &*lag;
+    journal.emplace();
+    if (journal_path) journal->set_dump_path(*journal_path);
+    config.journal = &*journal;
+  }
+
+  cluster::ClusterRuntime runtime(std::move(config));
+
+  std::unique_ptr<obs::HttpExporter> exporter;
+  if (live) {
+    tools::Routes routes =
+        tools::landscape_routes(*sinks.history, *journal,
+                                options.meter.dga.name);
+    routes["/metrics"] = [&sinks](const obs::HttpRequest&) {
+      obs::HttpResponse response;
+      response.content_type = obs::kPrometheusContentType;
+      response.body = obs::expose_prometheus(sinks.metrics.snapshot());
+      return response;
+    };
+    routes["/healthz"] = [&runtime](const obs::HttpRequest& request) {
+      obs::HttpResponse response;
+      response.status =
+          runtime.cluster_state() == stream::HealthState::kUnhealthy ? 503
+                                                                     : 200;
+      if (request.param("format").value_or("") == "json") {
+        response.content_type = "application/json; charset=utf-8";
+        response.body = json::write(runtime.health_json()) + "\n";
+      } else {
+        response.body =
+            std::string(stream::health_state_name(runtime.cluster_state())) +
+            "\n";
+      }
+      return response;
+    };
+    routes["/debug/lag"] = [&lag](const obs::HttpRequest&) {
+      return tools::json_response(lag->to_json());
+    };
+    exporter = tools::start_exporter(args, std::move(routes));
+  }
+
+  if (auto checkpoint_path = args.value("--checkpoint-in")) {
+    runtime.restore(json::parse(tools::read_file(*checkpoint_path)));
+    std::fprintf(stderr, "resumed from %s: merge frontier at epoch %lld\n",
+                 checkpoint_path->c_str(),
+                 static_cast<long long>(runtime.merge_frontier()));
+  }
+
+  // One line per *merged* epoch, printed from the ingest thread as the
+  // frontier advances (merged rows are immutable once published).
+  std::int64_t printed = runtime.merge_frontier();
+  const auto print_merged = [&runtime, &printed] {
+    for (; printed < runtime.merge_frontier(); ++printed) {
+      const cluster::MergedEpoch merged = runtime.merger().merged_epoch(printed);
+      double total = 0.0;
+      for (const estimators::EpochCell& cell : merged.cells) {
+        total += cell.estimate.value;
+      }
+      std::ostringstream line;
+      line << "epoch " << merged.epoch << ": total=" << total;
+      for (std::size_t s = 0; s < merged.cells.size(); ++s) {
+        line << " server-" << s << "=" << merged.cells[s].estimate.value;
+      }
+      std::printf("%s\n", line.str().c_str());
+      std::fflush(stdout);
+    }
+  };
+
+  // Ingest: the union feed is scattered across shards by the router.
+  // Health samples ride the ingest thread periodically (they enqueue one
+  // sample item per shard); merged-epoch lines print as the frontier moves.
+  std::uint64_t ingest_tick = 0;
+  tools::FeedSinks feed;
+  feed.tuple = [&](const dns::ForwardedLookup& lookup) {
+    runtime.ingest(lookup);
+    if ((++ingest_tick & 0x3FFF) == 0) {
+      if (live) (void)runtime.sample_health(wall.ms());
+      print_merged();
+    }
+  };
+  feed.block = [&](const dns::LookupColumns& block,
+                    std::span<const std::string_view> table) {
+    runtime.ingest_block(block, table);
+    if (live) (void)runtime.sample_health(wall.ms());
+    print_merged();
+  };
+  const tools::Stopwatch ingest_clock;
+  tools::run_feed(args, options, feed);
+  runtime.flush();
+  if (live) (void)runtime.sample_health(wall.ms());
+  const double ingest_ms = ingest_clock.ms();
+
+  if (auto path = args.value("--checkpoint-out")) {
+    tools::write_json_file(*path, runtime.checkpoint(), "cluster checkpoint");
+  }
+
+  if (!args.flag("--no-final")) {
+    const core::LandscapeReport report = runtime.finish();
+    print_merged();
+    tools::print_landscape(args, report, "# estimator: " + report.estimator_name);
+    if (live) (void)runtime.sample_health(wall.ms());
+  }
+
+  // Per-shard counters: exact after the final close (every queue drained);
+  // with --no-final they are the point-in-time mirrors of applied batches.
+  std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0;
+  for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+    const cluster::ShardStats stats = runtime.shard_stats(i);
+    ingested += stats.ingested;
+    matched += stats.matched;
+    unmatched += stats.unmatched;
+    late += stats.late_dropped;
+  }
+  const double tuples_per_sec =
+      ingest_ms > 0.0 ? static_cast<double>(ingested) / (ingest_ms / 1000.0)
+                      : 0.0;
+  std::fprintf(stderr,
+               "%zu shards ingested %llu tuples (%.0f/s): %llu matched, "
+               "%llu unmatched, %llu late-dropped; merge frontier %lld\n",
+               runtime.shard_count(),
+               static_cast<unsigned long long>(ingested), tuples_per_sec,
+               static_cast<unsigned long long>(matched),
+               static_cast<unsigned long long>(unmatched),
+               static_cast<unsigned long long>(late),
+               static_cast<long long>(runtime.merge_frontier()));
+
+  if (journal_path) {
+    journal->dump(*journal_path);
+    std::fprintf(stderr, "event journal written to %s\n",
+                 journal_path->c_str());
+  }
+
+  const cluster::ClusterConfig& cfg = runtime.config();
+  json::Object echo = tools::config_echo(options);
+  echo.emplace("shards", json::Value(static_cast<double>(cfg.router.shard_count())));
+  echo.emplace("shard_worker_threads",
+               json::Value(static_cast<double>(cfg.shard_worker_threads)));
+  echo.emplace("flush_tuples", json::Value(static_cast<double>(cfg.flush_tuples)));
+  echo.emplace("queue_capacity",
+               json::Value(static_cast<double>(cfg.queue_capacity)));
+  echo.emplace("source", json::Value(std::string(
+                             args.flag("--simulate") ? "simulate" : "trace")));
+  echo.emplace("ingested", json::Value(static_cast<double>(ingested)));
+  sinks.write(args, "botmeter_cluster", std::move(echo));
+
+  if (exporter) {
+    tools::linger_and_stop(args, *exporter,
+                           [&] { (void)runtime.sample_health(wall.ms()); });
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace botmeter;
-  try {
-    tools::CliArgs args(
-        argc, argv,
-        {"--family", "--config", "--estimator", "--servers", "--shards",
-         "--shard-threads", "--epochs", "--first-epoch", "--neg-ttl-min",
-         "--miss-rate", "--assume-miss", "--lateness-ms", "--flush-tuples",
-         "--queue-capacity", "--trace", "--bots", "--seed", "--granularity-ms",
-         "--checkpoint-in", "--checkpoint-out", "--metrics-out", "--listen",
-         "--listen-port-file", "--linger-ms", "--history-out",
-         "--history-retain", "--journal-out", "--compact-spill",
-         "--compact-kmv-k"},
-        {"--help", "--simulate", "--no-final", "--viz", "--binary",
-         "--compact-state"});
-    if (args.flag("--help")) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
-
-    cluster::ClusterConfig config;
-    config.meter.dga = family ? dga::family_config(*family)
-                              : config_from_file(*config_path);
-    config.meter.estimator = args.value_or("--estimator", "");
-    config.meter.ttl.negative = minutes(args.int_or("--neg-ttl-min", 120));
-    config.meter.detection_miss_rate = args.double_or("--miss-rate", 0.0);
-    if (args.value("--assume-miss")) {
-      config.meter.assumed_miss_rate = args.double_or("--assume-miss", 0.0);
-    }
-    config.first_epoch = args.int_or(
-        "--first-epoch",
-        config.meter.dga.taxonomy.pool == dga::PoolModel::kSlidingWindow ? 40
-                                                                         : 0);
-    config.epoch_count = args.int_or("--epochs", 1);
-    const std::size_t servers =
-        static_cast<std::size_t>(args.int_or("--servers", 1));
-    const std::size_t shard_count =
-        static_cast<std::size_t>(args.int_or("--shards", 1));
-    config.router = cluster::ShardRouter::by_range(servers, shard_count);
-    config.shard_worker_threads =
-        static_cast<std::size_t>(args.int_or("--shard-threads", 1));
-    config.flush_tuples =
-        static_cast<std::size_t>(args.int_or("--flush-tuples", 8192));
-    config.queue_capacity =
-        static_cast<std::size_t>(args.int_or("--queue-capacity", 64));
-    if (args.value("--lateness-ms")) {
-      config.allowed_lateness = milliseconds(args.int_or("--lateness-ms", 0));
-    }
-    config.compact_state = args.flag("--compact-state");
-    config.compact_spill_threshold = static_cast<std::size_t>(args.int_or(
-        "--compact-spill",
-        static_cast<std::int64_t>(config.compact_spill_threshold)));
-    config.compact.kmv_k = static_cast<std::uint32_t>(args.int_or(
-        "--compact-kmv-k", static_cast<std::int64_t>(config.compact.kmv_k)));
-
-    set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto listen_port = args.value("--listen");
-    obs::MetricsRegistry metrics;
-    if (metrics_path || listen_port) config.meter.metrics = &metrics;
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    const auto wall_ms = [wall_start] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - wall_start)
-          .count();
-    };
-
-    // Merged landscape time-series: one row per merged epoch, recorded by
-    // the runtime, queried live through the exporter and/or written after
-    // the run.
-    const auto history_path = args.value("--history-out");
-    std::optional<obs::LandscapeHistory> history;
-    if (history_path || listen_port) {
-      obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent = static_cast<std::size_t>(args.int_or(
-          "--history-retain",
-          static_cast<std::int64_t>(history_config.retain_recent)));
-      history.emplace(history_config);
-      config.history = &*history;
-    }
-    if (listen_port) {
-      // Per-shard monitors + frontier-lag fold; stamps the cluster state
-      // onto merged history rows.
-      config.health = stream::StreamHealthConfig{};
-    }
-
-    // Pipeline observability: the lag tracker backs /debug/lag and the lag
-    // fold in /healthz?format=json; the flight-recorder journal backs
-    // /events and the unhealthy auto-dump.
-    const auto journal_path = args.value("--journal-out");
-    std::optional<obs::LagTracker> lag;
-    std::optional<obs::EventJournal> journal;
-    if (listen_port || journal_path) {
-      lag.emplace(shard_count);
-      config.lag = &*lag;
-      journal.emplace();
-      if (journal_path) journal->set_dump_path(*journal_path);
-      config.journal = &*journal;
-    }
-
-    cluster::ClusterRuntime runtime(std::move(config));
-    const cluster::ClusterConfig& cfg = runtime.config();
-
-    std::unique_ptr<obs::HttpExporter> exporter;
-    if (listen_port) {
-      obs::HttpExporterConfig http;
-      http.port = static_cast<std::uint16_t>(args.int_or("--listen", 0));
-      const std::string family_name = cfg.meter.dga.name;
-      std::map<std::string, obs::HttpExporter::Handler> routes;
-      routes["/metrics"] = [&metrics](const obs::HttpRequest&) {
-        obs::HttpResponse response;
-        response.content_type = obs::kPrometheusContentType;
-        response.body = obs::expose_prometheus(metrics.snapshot());
-        return response;
-      };
-      routes["/healthz"] = [&runtime](const obs::HttpRequest& request) {
-        obs::HttpResponse response;
-        response.status =
-            runtime.cluster_state() == stream::HealthState::kUnhealthy ? 503
-                                                                       : 200;
-        if (request.param("format").value_or("") == "json") {
-          response.content_type = "application/json; charset=utf-8";
-          response.body = json::write(runtime.health_json()) + "\n";
-        } else {
-          response.body =
-              std::string(stream::health_state_name(runtime.cluster_state())) +
-              "\n";
-        }
-        return response;
-      };
-      const auto json_response = [](std::string body) {
-        obs::HttpResponse response;
-        response.content_type = "application/json; charset=utf-8";
-        response.body = std::move(body) + "\n";
-        return response;
-      };
-      routes["/landscape"] = [&history, json_response](const obs::HttpRequest&) {
-        return json_response(json::write(history->latest_json()));
-      };
-      routes["/landscape/history"] = [&history, json_response, family_name](
-                                         const obs::HttpRequest& request) {
-        try {
-          if (const auto f = request.param("family");
-              f && !f->empty() && *f != family_name) {
-            obs::HttpResponse response;
-            response.status = 404;
-            response.body = "unknown family '" + *f + "'; this run is " +
-                            family_name + "\n";
-            return response;
-          }
-          std::optional<std::uint32_t> server;
-          if (const auto s = request.param("server"); s && !s->empty()) {
-            server = static_cast<std::uint32_t>(std::stoul(*s));
-          }
-          std::int64_t from = std::numeric_limits<std::int64_t>::min();
-          std::int64_t to = std::numeric_limits<std::int64_t>::max();
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoll(*f);
-          }
-          if (const auto t = request.param("to"); t && !t->empty()) {
-            to = std::stoll(*t);
-          }
-          return json_response(
-              json::write(history->window_json(server, from, to)));
-        } catch (const std::exception& e) {
-          obs::HttpResponse response;
-          response.status = 400;
-          response.body = std::string("bad query: ") + e.what() + "\n";
-          return response;
-        }
-      };
-      routes["/landscape/summary"] =
-          [&history, json_response](const obs::HttpRequest&) {
-            return json_response(json::write(history->summary_json()));
-          };
-      routes["/debug/lag"] = [&lag, json_response](const obs::HttpRequest&) {
-        return json_response(json::write(lag->to_json()));
-      };
-      routes["/events"] = [&journal,
-                           json_response](const obs::HttpRequest& request) {
-        try {
-          std::uint64_t from = 0;
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoull(*f);
-          }
-          std::optional<std::int32_t> shard;
-          if (const auto s = request.param("shard"); s && !s->empty()) {
-            shard = static_cast<std::int32_t>(std::stol(*s));
-          }
-          return json_response(json::write(journal->to_json(from, shard)));
-        } catch (const std::exception& e) {
-          obs::HttpResponse response;
-          response.status = 400;
-          response.content_type = "text/plain; charset=utf-8";
-          response.body = std::string("bad query: ") + e.what() + "\n";
-          return response;
-        }
-      };
-      exporter = std::make_unique<obs::HttpExporter>(http, std::move(routes));
-      std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
-                   exporter->port());
-      if (auto port_file = args.value("--listen-port-file")) {
-        std::ofstream file(*port_file);
-        if (!file) throw DataError("cannot open " + *port_file);
-        file << exporter->port() << '\n';
-      }
-    }
-
-    if (auto checkpoint_path = args.value("--checkpoint-in")) {
-      std::ifstream file(*checkpoint_path);
-      if (!file) throw DataError("cannot open " + *checkpoint_path);
-      std::string text((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-      runtime.restore(json::parse(text));
-      std::fprintf(stderr, "resumed from %s: merge frontier at epoch %lld\n",
-                   checkpoint_path->c_str(),
-                   static_cast<long long>(runtime.merge_frontier()));
-    }
-
-    // One line per *merged* epoch, printed from the ingest thread as the
-    // frontier advances (merged rows are immutable once published).
-    std::int64_t printed = runtime.merge_frontier();
-    const auto print_merged = [&runtime, &printed] {
-      for (; printed < runtime.merge_frontier(); ++printed) {
-        const cluster::MergedEpoch merged = runtime.merger().merged_epoch(printed);
-        double total = 0.0;
-        for (const estimators::EpochCell& cell : merged.cells) {
-          total += cell.estimate.value;
-        }
-        std::ostringstream line;
-        line << "epoch " << merged.epoch << ": total=" << total;
-        for (std::size_t s = 0; s < merged.cells.size(); ++s) {
-          line << " server-" << s << "=" << merged.cells[s].estimate.value;
-        }
-        std::printf("%s\n", line.str().c_str());
-        std::fflush(stdout);
-      }
-    };
-
-    // Ingest: the union feed is scattered across shards by the router.
-    // Health samples ride the ingest thread periodically (they enqueue one
-    // sample item per shard); merged-epoch lines print as the frontier moves.
-    const bool simulate_mode = args.flag("--simulate");
-    std::uint64_t ingest_tick = 0;
-    const auto tick = [&] {
-      if ((++ingest_tick & 0x3FFF) == 0) {
-        if (listen_port) (void)runtime.sample_health(wall_ms());
-        print_merged();
-      }
-    };
-    const auto ingest_one = [&](const dns::ForwardedLookup& lookup) {
-      runtime.ingest(lookup);
-      tick();
-    };
-    const auto ingest_block = [&](const dns::LookupColumns& block,
-                                  std::span<const std::string_view> table) {
-      runtime.ingest_block(block, table);
-      if (listen_port) (void)runtime.sample_health(wall_ms());
-      print_merged();
-    };
-    const auto ingest_start = std::chrono::steady_clock::now();
-    if (simulate_mode) {
-      const std::int64_t bots = args.int_or("--bots", 0);
-      if (bots <= 0) throw ConfigError("--simulate requires --bots > 0");
-      botnet::SimulationConfig sim;
-      sim.dga = cfg.meter.dga;
-      sim.bot_count = static_cast<std::uint32_t>(bots);
-      sim.server_count = servers;
-      sim.ttl = cfg.meter.ttl;
-      sim.first_epoch = cfg.first_epoch;
-      sim.epoch_count = cfg.epoch_count;
-      sim.seed = static_cast<std::uint64_t>(args.int_or("--seed", 1));
-      sim.timestamp_granularity =
-          milliseconds(args.int_or("--granularity-ms", 100));
-      sim.record_raw = false;
-      sim.observable_sink = ingest_one;
-      (void)botnet::simulate(sim);
-    } else if (auto path = args.value("--trace")) {
-      std::ifstream file(*path, std::ios::binary);
-      if (!file) throw DataError("cannot open " + *path);
-      if (args.flag("--binary") || trace::sniff_block_file(file)) {
-        (void)trace::for_each_block(file, ingest_block);
-      } else {
-        (void)trace::for_each_observable(file, ingest_one);
-      }
-    } else if (args.flag("--binary")) {
-      (void)trace::for_each_block(std::cin, ingest_block);
-    } else {
-      (void)trace::for_each_observable(std::cin, ingest_one);
-    }
-    runtime.flush();
-    if (listen_port) (void)runtime.sample_health(wall_ms());
-    const double ingest_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ingest_start)
-            .count();
-
-    if (auto checkpoint_path = args.value("--checkpoint-out")) {
-      std::ofstream file(*checkpoint_path);
-      if (!file) throw DataError("cannot open " + *checkpoint_path);
-      file << json::write_pretty(runtime.checkpoint());
-      std::fprintf(stderr, "cluster checkpoint written to %s\n",
-                   checkpoint_path->c_str());
-    }
-
-    if (!args.flag("--no-final")) {
-      const core::LandscapeReport report = runtime.finish();
-      print_merged();
-      if (args.flag("--viz")) {
-        std::fputs(viz::render_landscape(report).c_str(), stdout);
-      } else {
-        std::printf("# estimator: %s\n", report.estimator_name.c_str());
-        std::printf("%-10s %12s %18s %16s\n", "server", "population", "90%-CI",
-                    "matched_lookups");
-        for (const core::ServerEstimate& s : report.servers) {
-          char ci[32] = "-";
-          if (s.interval90) {
-            std::snprintf(ci, sizeof(ci), "[%.1f, %.1f]", s.interval90->first,
-                          s.interval90->second);
-          }
-          std::printf("server-%-3u %12.1f %18s %16llu\n", s.server.value(),
-                      s.population, ci,
-                      static_cast<unsigned long long>(s.matched_lookups));
-        }
-        std::printf("total: %.1f\n", report.total_population());
-      }
-      if (listen_port) (void)runtime.sample_health(wall_ms());
-    }
-
-    // Per-shard counters: exact after the final close (every queue drained);
-    // with --no-final they are the point-in-time mirrors of applied batches.
-    std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0;
-    for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
-      const cluster::ShardStats stats = runtime.shard_stats(i);
-      ingested += stats.ingested;
-      matched += stats.matched;
-      unmatched += stats.unmatched;
-      late += stats.late_dropped;
-    }
-    const double tuples_per_sec =
-        ingest_ms > 0.0 ? static_cast<double>(ingested) / (ingest_ms / 1000.0)
-                        : 0.0;
-    std::fprintf(stderr,
-                 "%zu shards ingested %llu tuples (%.0f/s): %llu matched, "
-                 "%llu unmatched, %llu late-dropped; merge frontier %lld\n",
-                 runtime.shard_count(),
-                 static_cast<unsigned long long>(ingested), tuples_per_sec,
-                 static_cast<unsigned long long>(matched),
-                 static_cast<unsigned long long>(unmatched),
-                 static_cast<unsigned long long>(late),
-                 static_cast<long long>(runtime.merge_frontier()));
-
-    if (history_path) {
-      std::ofstream file(*history_path);
-      if (!file) throw DataError("cannot open " + *history_path);
-      file << json::write_pretty(history->to_json());
-      std::fprintf(stderr, "merged landscape history written to %s\n",
-                   history_path->c_str());
-    }
-
-    if (journal_path) {
-      journal->dump(*journal_path);
-      std::fprintf(stderr, "event journal written to %s\n",
-                   journal_path->c_str());
-    }
-
-    if (metrics_path) {
-      obs::RunReport run_report;
-      run_report.tool = "botmeter_cluster";
-      run_report.config = config_echo(cfg, simulate_mode, ingested);
-      run_report.metrics = &metrics;
-      obs::write_report_file(run_report, *metrics_path);
-    }
-
-    // Keep the scrape endpoint up (with fresh samples) so operators and CI
-    // can inspect the terminal state of a short run.
-    if (exporter && args.int_or("--linger-ms", 0) > 0) {
-      const double deadline = wall_ms() + args.double_or("--linger-ms", 0.0);
-      while (wall_ms() < deadline) {
-        (void)runtime.sample_health(wall_ms());
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    }
-    if (exporter) exporter->stop();
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
-  }
+  return botmeter::tools::run_tool(
+      argc, argv,
+      {"botmeter_cluster", /*live=*/true,
+       {"--shards", "--shard-threads", "--flush-tuples", "--queue-capacity",
+        "--journal-out"},
+       {}, kSynopsis, kHelp},
+      run);
 }

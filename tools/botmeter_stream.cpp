@@ -13,533 +13,219 @@
 //     botmeter_stream --family newGoZ --servers 4
 //   botmeter_stream --family newGoZ --simulate --bots 64 --servers 4
 //     --epochs 6 --checkpoint-out cp.json --metrics-out run.json
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
-#include "botnet/simulator.hpp"
-#include "cli_util.hpp"
-#include "common/json.hpp"
-#include "common/parallel.hpp"
-#include "dga/config_io.hpp"
-#include "dga/families.hpp"
-#include "obs/event_journal.hpp"
+#include "frontend.hpp"
 #include "obs/expose.hpp"
-#include "obs/http_exporter.hpp"
-#include "obs/landscape_history.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "stream/health_monitor.hpp"
 #include "stream/stream_engine.hpp"
-#include "trace/block.hpp"
-#include "trace/io.hpp"
-#include "viz/landscape.hpp"
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: botmeter_stream (--family <name> | --config <file.json>)\n"
-    "         [--estimator timing|poisson|bernoulli|...] [--servers n]\n"
-    "         [--epochs n] [--first-epoch e] [--neg-ttl-min m]\n"
-    "         [--miss-rate x] [--assume-miss x] [--threads n]\n"
-    "         [--lateness-ms l] [--trace file] [--binary]\n"
-    "         [--compact-state] [--compact-spill n] [--compact-kmv-k k]\n"
-    "         [--simulate --bots N [--seed s] [--granularity-ms g]]\n"
-    "         [--checkpoint-in file] [--checkpoint-out file] [--no-final]\n"
-    "         [--metrics-out file] [--trace-timing] [--trace-out file] [--viz]\n"
-    "         [--listen port] [--listen-port-file file] [--linger-ms n]\n"
-    "         [--history-out file] [--history-retain n]\n"
+constexpr const char* kSynopsis =
+    "         [--threads n] [--trace-timing] [--trace-out file]\n"
     "         [--health-degraded-lag-ms n] [--health-unhealthy-lag-ms n]\n"
     "         [--health-degraded-late-rate x] [--health-unhealthy-late-rate x]\n"
-    "         [--health-recovery-hold-ms n]\n"
-    "ingests the observable (border) feed tuple by tuple — from --trace or\n"
-    "stdin, or generated on the fly with --simulate — and prints one line\n"
-    "per closed epoch plus the final landscape (bit-identical to\n"
-    "botmeter_analyze on the same stream).\n"
-    "--trace files in the binary columnar codec (botmeter.trace_block.v1,\n"
-    "see botmeter_trace_convert) are detected automatically and ingested\n"
-    "block-at-a-time through the zero-copy path; --binary forces the binary\n"
-    "codec for stdin (pipes cannot be sniffed).\n"
-    "--checkpoint-in resumes from a botmeter.stream_checkpoint.v1 file;\n"
-    "--checkpoint-out writes one after ingest (before the final close), so a\n"
-    "later run can resume mid-horizon; --no-final skips the final close —\n"
-    "use it when more of the feed is still to come.\n"
-    "--metrics-out writes a botmeter.run_report.v1 JSON document (ingest\n"
-    "throughput, per-epoch flush latency, resident state size).\n"
-    "--compact-state bounds memory: open (server, epoch) buckets past\n"
-    "--compact-spill matched lookups (default 8192) fold into sketch-backed\n"
-    "compact cells (KMV size --compact-kmv-k, default 1024) and stream on in\n"
-    "O(1) space; spilled cells' estimates are flagged approximate with the\n"
-    "sketch error widened into their intervals. Buckets below the threshold\n"
-    "stay exact, so small landscapes are byte-identical to the exact path.\n"
-    "--listen serves live telemetry while the run is in flight: GET /metrics\n"
-    "is the Prometheus text exposition of the run's registry (including\n"
-    "derived *.per_sec rate gauges), GET /healthz the stream health state\n"
-    "(ok/degraded -> 200, unhealthy -> 503; add ?format=json for the full\n"
-    "signal vector as JSON), GET /landscape the latest per-server snapshot,\n"
-    "GET /landscape/history?server=&from=&to= the retained epoch series, and\n"
-    "GET /landscape/summary per-family totals with CI-quality telemetry —\n"
-    "all landscape documents in the botmeter.landscape_series.v1 schema —\n"
-    "and GET /events?from=&shard= the engine's flight-recorder journal\n"
-    "(epoch closes, watermark advances, checkpoint/restore) in the\n"
-    "botmeter.events.v1 schema.\n"
-    "Port 0 binds an ephemeral port; --listen-port-file writes the bound\n"
-    "port (for scripts), --linger-ms keeps serving that long after the run\n"
-    "finishes.\n"
-    "--history-out writes the retained landscape series (recent epochs\n"
-    "delta-encoded, older epochs coarsened) after the run; --history-retain\n"
-    "bounds the full-resolution ring (default 4096 epochs). botmeter_top\n"
-    "renders either the live endpoint or the written file.\n"
-    "--trace-out writes the span trace as Chrome trace_event JSON — open it\n"
-    "in Perfetto (ui.perfetto.dev) or chrome://tracing.\n";
+    "         [--health-recovery-hold-ms n]\n";
+constexpr const char* kHelp =
+    "ingests the feed tuple by tuple (binary traces block by block) and\n"
+    "prints one line per closed epoch plus the final landscape,\n"
+    "bit-identical to botmeter_analyze. Checkpoints are\n"
+    "botmeter.stream_checkpoint.v1. --metrics-out writes a\n"
+    "botmeter.run_report.v1 document (ingest throughput, flush latency,\n"
+    "resident state); --trace-timing prints the phase table, --trace-out the\n"
+    "Chrome trace_event spans (open in Perfetto).\n"
+    "GET /metrics is the Prometheus exposition (with *.per_sec rates) and GET\n"
+    "/healthz the stream health (503 when unhealthy; ?format=json for the\n"
+    "signal vector), with thresholds from the --health-* flags.\n";
 
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
+int run(const botmeter::tools::CliArgs& args) {
+  using namespace botmeter;
+  const tools::MeterOptions options = tools::meter_options(args);
+  stream::StreamEngineConfig config;
+  tools::apply_live_options(args, options, config);
+  config.server_count = options.server_count;
+  config.worker_threads = static_cast<std::size_t>(args.int_or("--threads", 1));
 
-/// Configuration echo embedded in the run report.
-botmeter::json::Value config_echo(const botmeter::stream::StreamEngineConfig& c,
-                                  bool simulated, std::uint64_t ingested) {
-  using botmeter::json::Value;
-  botmeter::json::Object o;
-  o.emplace("family", Value(c.meter.dga.name));
-  o.emplace("estimator",
-            Value(c.meter.estimator.empty() ? std::string("(recommended)")
-                                            : c.meter.estimator));
-  o.emplace("servers", Value(static_cast<double>(c.server_count)));
-  o.emplace("epochs", Value(static_cast<double>(c.epoch_count)));
-  o.emplace("first_epoch", Value(static_cast<double>(c.first_epoch)));
-  o.emplace("worker_threads", Value(static_cast<double>(c.worker_threads)));
-  o.emplace("detection_miss_rate", Value(c.meter.detection_miss_rate));
-  o.emplace("neg_ttl_ms",
-            Value(static_cast<double>(c.meter.ttl.negative.millis())));
-  o.emplace("source", Value(std::string(simulated ? "simulate" : "trace")));
-  o.emplace("ingested", Value(static_cast<double>(ingested)));
-  return Value(std::move(o));
+  const bool live = args.value("--listen").has_value();
+  tools::RunSinks sinks(args, live, /*spans=*/true, config.meter);
+  // Landscape time-series history: recorded by the engine at every epoch
+  // close, queried live through the exporter and/or written after the run.
+  config.history = sinks.history.get();
+
+  // Live telemetry: health monitor fed from the ingest thread, scrape
+  // endpoint served from the exporter's own thread. The exporter only
+  // reads registry snapshots, the monitor's last state, and
+  // copy-under-mutex landscape history documents — it never touches the
+  // engine, so attaching it cannot perturb results.
+  stream::StreamHealthConfig health_config;
+  health_config.degraded_watermark_lag_ms =
+      args.double_or("--health-degraded-lag-ms",
+                     health_config.degraded_watermark_lag_ms);
+  health_config.unhealthy_watermark_lag_ms =
+      args.double_or("--health-unhealthy-lag-ms",
+                     health_config.unhealthy_watermark_lag_ms);
+  health_config.degraded_late_rate = args.double_or(
+      "--health-degraded-late-rate", health_config.degraded_late_rate);
+  health_config.unhealthy_late_rate = args.double_or(
+      "--health-unhealthy-late-rate", health_config.unhealthy_late_rate);
+  health_config.recovery_hold_ms = args.double_or(
+      "--health-recovery-hold-ms", health_config.recovery_hold_ms);
+
+  const tools::Stopwatch wall;
+
+  std::optional<stream::StreamHealthMonitor> monitor;
+  // Flight-recorder journal behind /events: epoch closes, watermark
+  // advances, checkpoint/restore, as the engine reports them.
+  std::optional<obs::EventJournal> journal;
+  if (live) {
+    monitor.emplace(health_config, &sinks.metrics);
+    // Stamp the monitor's state onto each history row at close time.
+    config.health = &*monitor;
+    journal.emplace();
+    config.journal = &*journal;
+  }
+
+  stream::StreamEngine engine(config);
+
+  // Derived per-second rate gauges, advanced once per /metrics scrape.
+  // tick() runs only on the exporter thread (scrapes are serialized).
+  obs::RateTracker rates({"stream.ingested", "stream.closed_epochs"});
+  std::unique_ptr<obs::HttpExporter> exporter;
+  if (live) {
+    tools::Routes routes =
+        tools::landscape_routes(*sinks.history, *journal,
+                                config.meter.dga.name);
+    routes["/metrics"] = [&sinks, &rates, &wall](const obs::HttpRequest&) {
+      obs::HttpResponse response;
+      response.content_type = obs::kPrometheusContentType;
+      obs::MetricsRegistry::Snapshot snapshot = sinks.metrics.snapshot();
+      rates.tick(snapshot, wall.ms());
+      response.body = obs::expose_prometheus(snapshot);
+      return response;
+    };
+    routes["/healthz"] = [&monitor](const obs::HttpRequest& request) {
+      obs::HttpResponse response;
+      response.status =
+          monitor->state() == stream::HealthState::kUnhealthy ? 503 : 200;
+      if (request.param("format").value_or("") == "json") {
+        response.content_type = "application/json; charset=utf-8";
+        response.body = monitor->render_json() + "\n";
+      } else {
+        response.body = monitor->render();
+      }
+      return response;
+    };
+    exporter = tools::start_exporter(args, std::move(routes));
+  }
+
+  if (auto checkpoint_path = args.value("--checkpoint-in")) {
+    engine.restore(json::parse(tools::read_file(*checkpoint_path)));
+    std::fprintf(stderr,
+                 "resumed from %s: %llu tuples already ingested, next epoch "
+                 "to close %lld\n",
+                 checkpoint_path->c_str(),
+                 static_cast<unsigned long long>(engine.ingested()),
+                 static_cast<long long>(engine.next_epoch_to_close()));
+  }
+
+  engine.on_epoch_close([](const stream::EpochReport& report) {
+    std::ostringstream line;
+    line << "epoch " << report.epoch << ": total=" << report.total_population();
+    for (const core::ServerEstimate& s : report.servers) {
+      line << " server-" << s.server.value() << "=" << s.population;
+    }
+    std::printf("%s\n", line.str().c_str());
+    std::fflush(stdout);
+  });
+
+  // Health samples ride the ingest thread (engine accessors are not
+  // synchronized against ingest): one every 4096 tuples is ample —
+  // sub-second cadence at realistic rates, invisible in the profile. Binary
+  // blocks (<= 64k tuples) take one sample each, close enough to that
+  // cadence for the monitor's thresholds.
+  std::uint64_t ingest_tick = 0;
+  tools::FeedSinks feed;
+  feed.tuple = [&](const dns::ForwardedLookup& lookup) {
+    engine.ingest(lookup);
+    if (monitor && (++ingest_tick & 0xFFF) == 0) {
+      monitor->sample(engine, wall.ms());
+    }
+  };
+  feed.block = [&](const dns::LookupColumns& block,
+                    std::span<const std::string_view> table) {
+    engine.ingest_block(block, table);
+    if (monitor) monitor->sample(engine, wall.ms());
+  };
+  feed.worker_threads = config.worker_threads;
+  feed.metrics = config.meter.metrics;
+  feed.trace = config.meter.trace;
+  const tools::Stopwatch ingest_clock;
+  tools::run_feed(args, options, feed);
+  if (monitor) monitor->sample(engine, wall.ms());
+  const double ingest_ms = ingest_clock.ms();
+  const double tuples_per_sec =
+      ingest_ms > 0.0
+          ? static_cast<double>(engine.ingested()) / (ingest_ms / 1000.0)
+          : 0.0;
+  if (args.value("--metrics-out")) {
+    sinks.metrics.gauge("stream.ingest_wall_ms").set(ingest_ms);
+    sinks.metrics.gauge("stream.ingest_tuples_per_sec").set(tuples_per_sec);
+  }
+  if (config.meter.trace != nullptr) {
+    config.meter.trace->record("stream.ingest", ingest_ms);
+  }
+
+  if (auto path = args.value("--checkpoint-out")) {
+    tools::write_json_file(*path, engine.checkpoint(), "checkpoint");
+  }
+
+  std::fprintf(stderr,
+               "ingested %llu tuples (%.0f/s): %llu matched, %llu "
+               "unmatched, %llu late-dropped; peak resident %zu lookups "
+               "(%zu peak open bytes)\n",
+               static_cast<unsigned long long>(engine.ingested()),
+               tuples_per_sec,
+               static_cast<unsigned long long>(engine.matched()),
+               static_cast<unsigned long long>(engine.unmatched()),
+               static_cast<unsigned long long>(engine.late_dropped()),
+               engine.peak_resident_lookups(),
+               engine.peak_open_buffer_bytes());
+  if (config.compact_state) {
+    std::fprintf(stderr, "compact state: %llu bucket spills\n",
+                 static_cast<unsigned long long>(engine.compact_spills()));
+  }
+
+  if (!args.flag("--no-final")) {
+    const core::LandscapeReport report = engine.finish();
+    tools::print_landscape(args, report, "# estimator: " + report.estimator_name);
+  }
+  json::Object echo = tools::config_echo(options);
+  echo.emplace("worker_threads",
+               json::Value(static_cast<double>(config.worker_threads)));
+  echo.emplace("source", json::Value(std::string(
+                             args.flag("--simulate") ? "simulate" : "trace")));
+  echo.emplace("ingested", json::Value(static_cast<double>(engine.ingested())));
+  sinks.write(args, "botmeter_stream", std::move(echo));
+
+  if (exporter) {
+    tools::linger_and_stop(args, *exporter,
+                           [&] { monitor->sample(engine, wall.ms()); });
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace botmeter;
-  try {
-    tools::CliArgs args(
-        argc, argv,
-        {"--family", "--config", "--estimator", "--servers", "--epochs",
-         "--first-epoch", "--neg-ttl-min", "--miss-rate", "--assume-miss",
-         "--threads", "--lateness-ms", "--trace", "--bots", "--seed",
-         "--granularity-ms", "--checkpoint-in", "--checkpoint-out",
-         "--metrics-out", "--trace-out", "--listen", "--listen-port-file",
-         "--linger-ms", "--history-out", "--history-retain",
-         "--health-degraded-lag-ms", "--health-unhealthy-lag-ms",
-         "--health-degraded-late-rate", "--health-unhealthy-late-rate",
-         "--health-recovery-hold-ms", "--compact-spill", "--compact-kmv-k"},
-        {"--help", "--simulate", "--no-final", "--viz", "--trace-timing",
-         "--binary", "--compact-state"});
-    if (args.flag("--help")) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
-
-    stream::StreamEngineConfig config;
-    config.meter.dga = family ? dga::family_config(*family)
-                              : config_from_file(*config_path);
-    config.meter.estimator = args.value_or("--estimator", "");
-    config.meter.ttl.negative = minutes(args.int_or("--neg-ttl-min", 120));
-    config.meter.detection_miss_rate = args.double_or("--miss-rate", 0.0);
-    if (args.value("--assume-miss")) {
-      config.meter.assumed_miss_rate = args.double_or("--assume-miss", 0.0);
-    }
-    config.first_epoch = args.int_or(
-        "--first-epoch",
-        config.meter.dga.taxonomy.pool == dga::PoolModel::kSlidingWindow ? 40
-                                                                         : 0);
-    config.epoch_count = args.int_or("--epochs", 1);
-    config.server_count = static_cast<std::size_t>(args.int_or("--servers", 1));
-    config.worker_threads = static_cast<std::size_t>(args.int_or("--threads", 1));
-    if (args.value("--lateness-ms")) {
-      config.allowed_lateness = milliseconds(args.int_or("--lateness-ms", 0));
-    }
-    config.compact_state = args.flag("--compact-state");
-    config.compact_spill_threshold = static_cast<std::size_t>(args.int_or(
-        "--compact-spill",
-        static_cast<std::int64_t>(config.compact_spill_threshold)));
-    config.compact.kmv_k = static_cast<std::uint32_t>(args.int_or(
-        "--compact-kmv-k", static_cast<std::int64_t>(config.compact.kmv_k)));
-
-    set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto trace_out_path = args.value("--trace-out");
-    const auto listen_port = args.value("--listen");
-    const bool want_trace = args.flag("--trace-timing");
-    obs::MetricsRegistry metrics;
-    obs::TraceSession trace_session;
-    if (metrics_path || listen_port) config.meter.metrics = &metrics;
-    if (metrics_path || want_trace || trace_out_path) {
-      config.meter.trace = &trace_session;
-    }
-
-    // Live telemetry: health monitor fed from the ingest thread, scrape
-    // endpoint served from the exporter's own thread. The exporter only
-    // reads registry snapshots, the monitor's last state, and
-    // copy-under-mutex landscape history documents — it never touches the
-    // engine, so attaching it cannot perturb results.
-    stream::StreamHealthConfig health_config;
-    health_config.degraded_watermark_lag_ms =
-        args.double_or("--health-degraded-lag-ms",
-                       health_config.degraded_watermark_lag_ms);
-    health_config.unhealthy_watermark_lag_ms =
-        args.double_or("--health-unhealthy-lag-ms",
-                       health_config.unhealthy_watermark_lag_ms);
-    health_config.degraded_late_rate = args.double_or(
-        "--health-degraded-late-rate", health_config.degraded_late_rate);
-    health_config.unhealthy_late_rate = args.double_or(
-        "--health-unhealthy-late-rate", health_config.unhealthy_late_rate);
-    health_config.recovery_hold_ms = args.double_or(
-        "--health-recovery-hold-ms", health_config.recovery_hold_ms);
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    const auto wall_ms = [wall_start] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - wall_start)
-          .count();
-    };
-
-    // Landscape time-series history: recorded by the engine at every epoch
-    // close, queried live through the exporter and/or written after the run.
-    const auto history_path = args.value("--history-out");
-    std::optional<obs::LandscapeHistory> history;
-    if (history_path || listen_port) {
-      obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent = static_cast<std::size_t>(args.int_or(
-          "--history-retain",
-          static_cast<std::int64_t>(history_config.retain_recent)));
-      history.emplace(history_config);
-      config.history = &*history;
-    }
-
-    std::optional<stream::StreamHealthMonitor> monitor;
-    if (listen_port) {
-      monitor.emplace(health_config, &metrics);
-      // Stamp the monitor's state onto each history row at close time.
-      config.health = &*monitor;
-    }
-
-    // Flight-recorder journal behind /events: epoch closes, watermark
-    // advances, checkpoint/restore, as the engine reports them.
-    std::optional<obs::EventJournal> journal;
-    if (listen_port) {
-      journal.emplace();
-      config.journal = &*journal;
-    }
-
-    stream::StreamEngine engine(config);
-
-    std::unique_ptr<obs::HttpExporter> exporter;
-    // Derived per-second rate gauges, advanced once per /metrics scrape.
-    // tick() runs only on the exporter thread (scrapes are serialized).
-    obs::RateTracker rates({"stream.ingested", "stream.closed_epochs"});
-    if (listen_port) {
-      obs::HttpExporterConfig http;
-      http.port = static_cast<std::uint16_t>(args.int_or("--listen", 0));
-      const std::string family_name = config.meter.dga.name;
-      std::map<std::string, obs::HttpExporter::Handler> routes;
-      routes["/metrics"] = [&metrics, &rates,
-                            wall_ms](const obs::HttpRequest&) {
-        obs::HttpResponse response;
-        response.content_type = obs::kPrometheusContentType;
-        obs::MetricsRegistry::Snapshot snapshot = metrics.snapshot();
-        rates.tick(snapshot, wall_ms());
-        response.body = obs::expose_prometheus(snapshot);
-        return response;
-      };
-      routes["/healthz"] = [&monitor](const obs::HttpRequest& request) {
-        obs::HttpResponse response;
-        response.status =
-            monitor->state() == stream::HealthState::kUnhealthy ? 503 : 200;
-        if (request.param("format").value_or("") == "json") {
-          response.content_type = "application/json; charset=utf-8";
-          response.body = monitor->render_json() + "\n";
-        } else {
-          response.body = monitor->render();
-        }
-        return response;
-      };
-      const auto json_response = [](std::string body) {
-        obs::HttpResponse response;
-        response.content_type = "application/json; charset=utf-8";
-        response.body = std::move(body) + "\n";
-        return response;
-      };
-      routes["/landscape"] = [&history, json_response](const obs::HttpRequest&) {
-        return json_response(json::write(history->latest_json()));
-      };
-      routes["/landscape/history"] = [&history, json_response, family_name](
-                                         const obs::HttpRequest& request) {
-        try {
-          if (const auto family = request.param("family");
-              family && !family->empty() && *family != family_name) {
-            obs::HttpResponse response;
-            response.status = 404;
-            response.body = "unknown family '" + *family + "'; this run is " +
-                            family_name + "\n";
-            return response;
-          }
-          std::optional<std::uint32_t> server;
-          if (const auto s = request.param("server"); s && !s->empty()) {
-            server = static_cast<std::uint32_t>(std::stoul(*s));
-          }
-          std::int64_t from = std::numeric_limits<std::int64_t>::min();
-          std::int64_t to = std::numeric_limits<std::int64_t>::max();
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoll(*f);
-          }
-          if (const auto t = request.param("to"); t && !t->empty()) {
-            to = std::stoll(*t);
-          }
-          return json_response(json::write(history->window_json(server, from, to)));
-        } catch (const std::exception& e) {
-          obs::HttpResponse response;
-          response.status = 400;
-          response.body = std::string("bad query: ") + e.what() + "\n";
-          return response;
-        }
-      };
-      routes["/landscape/summary"] =
-          [&history, json_response](const obs::HttpRequest&) {
-            return json_response(json::write(history->summary_json()));
-          };
-      routes["/events"] = [&journal,
-                           json_response](const obs::HttpRequest& request) {
-        try {
-          std::uint64_t from = 0;
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoull(*f);
-          }
-          std::optional<std::int32_t> shard;
-          if (const auto s = request.param("shard"); s && !s->empty()) {
-            shard = static_cast<std::int32_t>(std::stol(*s));
-          }
-          return json_response(json::write(journal->to_json(from, shard)));
-        } catch (const std::exception& e) {
-          obs::HttpResponse response;
-          response.status = 400;
-          response.content_type = "text/plain; charset=utf-8";
-          response.body = std::string("bad query: ") + e.what() + "\n";
-          return response;
-        }
-      };
-      exporter = std::make_unique<obs::HttpExporter>(http, std::move(routes));
-      std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%u\n",
-                   exporter->port());
-      if (auto port_file = args.value("--listen-port-file")) {
-        std::ofstream file(*port_file);
-        if (!file) throw DataError("cannot open " + *port_file);
-        file << exporter->port() << '\n';
-      }
-    }
-
-    if (auto checkpoint_path = args.value("--checkpoint-in")) {
-      std::ifstream file(*checkpoint_path);
-      if (!file) throw DataError("cannot open " + *checkpoint_path);
-      std::string text((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-      engine.restore(json::parse(text));
-      std::fprintf(stderr,
-                   "resumed from %s: %llu tuples already ingested, next epoch "
-                   "to close %lld\n",
-                   checkpoint_path->c_str(),
-                   static_cast<unsigned long long>(engine.ingested()),
-                   static_cast<long long>(engine.next_epoch_to_close()));
-    }
-
-    engine.on_epoch_close([](const stream::EpochReport& report) {
-      std::ostringstream line;
-      line << "epoch " << report.epoch << ": total=" << report.total_population();
-      for (const core::ServerEstimate& s : report.servers) {
-        line << " server-" << s.server.value() << "=" << s.population;
-      }
-      std::printf("%s\n", line.str().c_str());
-      std::fflush(stdout);
-    });
-
-    // Ingest: a replayed trace (stdin / --trace) or a simulation feeding the
-    // engine through the vantage-point sink — either way one tuple at a
-    // time, never a materialised stream.
-    const bool simulate_mode = args.flag("--simulate");
-    // Health samples ride the ingest thread (engine accessors are not
-    // synchronized against ingest): one every 4096 tuples is ample —
-    // sub-second cadence at realistic rates, invisible in the profile.
-    std::uint64_t ingest_tick = 0;
-    const auto ingest_one = [&](const dns::ForwardedLookup& lookup) {
-      engine.ingest(lookup);
-      if (monitor && (++ingest_tick & 0xFFF) == 0) {
-        monitor->sample(engine, wall_ms());
-      }
-    };
-    // Binary feeds go block-at-a-time through the zero-copy path; one health
-    // sample per block (≤ 64k tuples) matches the per-4096-tuple cadence of
-    // the text path closely enough for the monitor's thresholds.
-    const auto ingest_block = [&](const dns::LookupColumns& block,
-                                  std::span<const std::string_view> table) {
-      engine.ingest_block(block, table);
-      if (monitor) monitor->sample(engine, wall_ms());
-    };
-    const auto ingest_start = std::chrono::steady_clock::now();
-    if (simulate_mode) {
-      const std::int64_t bots = args.int_or("--bots", 0);
-      if (bots <= 0) throw ConfigError("--simulate requires --bots > 0");
-      botnet::SimulationConfig sim;
-      sim.dga = config.meter.dga;
-      sim.bot_count = static_cast<std::uint32_t>(bots);
-      sim.server_count = config.server_count;
-      sim.ttl = config.meter.ttl;
-      sim.first_epoch = config.first_epoch;
-      sim.epoch_count = config.epoch_count;
-      sim.seed = static_cast<std::uint64_t>(args.int_or("--seed", 1));
-      sim.timestamp_granularity =
-          milliseconds(args.int_or("--granularity-ms", 100));
-      sim.record_raw = false;
-      // The generator shares the run's worker budget and telemetry sinks,
-      // so its per-chunk spans land on the worker tracks of the same
-      // Perfetto trace and its counters appear in the live /metrics page.
-      sim.worker_threads = config.worker_threads;
-      sim.metrics = config.meter.metrics;
-      sim.trace = config.meter.trace;
-      sim.observable_sink = ingest_one;
-      (void)botnet::simulate(sim);
-    } else if (auto path = args.value("--trace")) {
-      std::ifstream file(*path, std::ios::binary);
-      if (!file) throw DataError("cannot open " + *path);
-      if (args.flag("--binary") || trace::sniff_block_file(file)) {
-        (void)trace::for_each_block(file, ingest_block);
-      } else {
-        (void)trace::for_each_observable(file, ingest_one);
-      }
-    } else if (args.flag("--binary")) {
-      (void)trace::for_each_block(std::cin, ingest_block);
-    } else {
-      (void)trace::for_each_observable(std::cin, ingest_one);
-    }
-    if (monitor) monitor->sample(engine, wall_ms());
-    const double ingest_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - ingest_start)
-            .count();
-    const double tuples_per_sec =
-        ingest_ms > 0.0
-            ? static_cast<double>(engine.ingested()) / (ingest_ms / 1000.0)
-            : 0.0;
-    if (metrics_path) {
-      metrics.gauge("stream.ingest_wall_ms").set(ingest_ms);
-      metrics.gauge("stream.ingest_tuples_per_sec").set(tuples_per_sec);
-    }
-    if (config.meter.trace != nullptr) {
-      config.meter.trace->record("stream.ingest", ingest_ms);
-    }
-
-    if (auto checkpoint_path = args.value("--checkpoint-out")) {
-      std::ofstream file(*checkpoint_path);
-      if (!file) throw DataError("cannot open " + *checkpoint_path);
-      file << json::write_pretty(engine.checkpoint());
-      std::fprintf(stderr, "checkpoint written to %s\n",
-                   checkpoint_path->c_str());
-    }
-
-    std::fprintf(stderr,
-                 "ingested %llu tuples (%.0f/s): %llu matched, %llu "
-                 "unmatched, %llu late-dropped; peak resident %zu lookups "
-                 "(%zu peak open bytes)\n",
-                 static_cast<unsigned long long>(engine.ingested()),
-                 tuples_per_sec,
-                 static_cast<unsigned long long>(engine.matched()),
-                 static_cast<unsigned long long>(engine.unmatched()),
-                 static_cast<unsigned long long>(engine.late_dropped()),
-                 engine.peak_resident_lookups(),
-                 engine.peak_open_buffer_bytes());
-    if (config.compact_state) {
-      std::fprintf(stderr, "compact state: %llu bucket spills\n",
-                   static_cast<unsigned long long>(engine.compact_spills()));
-    }
-
-    if (!args.flag("--no-final")) {
-      const core::LandscapeReport report = engine.finish();
-      if (args.flag("--viz")) {
-        std::fputs(viz::render_landscape(report).c_str(), stdout);
-      } else {
-        std::printf("# estimator: %s\n", report.estimator_name.c_str());
-        std::printf("%-10s %12s %18s %16s\n", "server", "population", "90%-CI",
-                    "matched_lookups");
-        for (const core::ServerEstimate& s : report.servers) {
-          char ci[32] = "-";
-          if (s.interval90) {
-            // "~" marks a sketch-approximate band (compact path, saturated).
-            std::snprintf(ci, sizeof(ci), "%s[%.1f, %.1f]",
-                          s.approximate ? "~" : "", s.interval90->first,
-                          s.interval90->second);
-          }
-          std::printf("server-%-3u %12.1f %18s %16llu\n", s.server.value(),
-                      s.population, ci,
-                      static_cast<unsigned long long>(s.matched_lookups));
-        }
-        std::printf("total: %.1f\n", report.total_population());
-      }
-    }
-
-    if (history_path) {
-      std::ofstream file(*history_path);
-      if (!file) throw DataError("cannot open " + *history_path);
-      file << json::write_pretty(history->to_json());
-      std::fprintf(stderr, "landscape history written to %s\n",
-                   history_path->c_str());
-    }
-
-    if (metrics_path) {
-      obs::RunReport run_report;
-      run_report.tool = "botmeter_stream";
-      run_report.config = config_echo(config, simulate_mode, engine.ingested());
-      run_report.metrics = &metrics;
-      run_report.trace = &trace_session;
-      obs::write_report_file(run_report, *metrics_path);
-    }
-    if (want_trace) {
-      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
-    }
-    if (trace_out_path) {
-      obs::write_chrome_trace_file(trace_session, *trace_out_path);
-      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
-                   trace_out_path->c_str());
-    }
-
-    // Keep the scrape endpoint up (with fresh health samples) so operators
-    // and CI can inspect the terminal state of a short run.
-    if (exporter && args.int_or("--linger-ms", 0) > 0) {
-      const double deadline = wall_ms() + args.double_or("--linger-ms", 0.0);
-      while (wall_ms() < deadline) {
-        if (monitor) monitor->sample(engine, wall_ms());
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    }
-    if (exporter) exporter->stop();
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
-  }
+  return botmeter::tools::run_tool(
+      argc, argv,
+      {"botmeter_stream", /*live=*/true,
+       {"--threads", "--trace-out", "--health-degraded-lag-ms",
+        "--health-unhealthy-lag-ms", "--health-degraded-late-rate",
+        "--health-unhealthy-late-rate", "--health-recovery-hold-ms"},
+       {"--trace-timing"}, kSynopsis, kHelp},
+      run);
 }
