@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the components on
-// BotMeter's hot path — domain generation, the DNS cache, the matcher, the
-// analytical inversions, the Bernoulli bootstrap interval, and the full
-// per-epoch simulation.
+// BotMeter's hot path — domain generation, the DNS cache, the matcher's
+// index build and lookups, the analytical inversions, the Bernoulli
+// bootstrap interval, and the full per-epoch simulation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -101,6 +101,28 @@ void BM_MatcherThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_MatcherThroughput);
+
+// Detect-layer setup: build and destroy a two-epoch Conficker.C index
+// (about 100k domains), the index every meter builds before its first tuple.
+void BM_MatcherBuild(benchmark::State& state) {
+  auto pool_model = dga::make_pool_model(dga::conficker_c_config());
+  std::vector<const dga::EpochPool*> pools;
+  std::vector<detect::DetectionWindow> windows;
+  for (std::int64_t e = 0; e < 2; ++e) {
+    pools.push_back(&pool_model->epoch_pool(e));
+    windows.push_back(detect::perfect_detection(*pools.back()));
+  }
+  for (auto _ : state) {
+    detect::DomainMatcher matcher(days(1));
+    for (std::size_t e = 0; e < pools.size(); ++e) {
+      matcher.add_epoch(*pools[e], windows[e]);
+    }
+    benchmark::DoNotOptimize(matcher.matchable_domain_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pools[0]->size() * 2));
+}
+BENCHMARK(BM_MatcherBuild)->Unit(benchmark::kMillisecond);
 
 void BM_BernoulliCoverageInversion(benchmark::State& state) {
   const dga::DgaConfig config = dga::newgoz_config();

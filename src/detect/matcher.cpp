@@ -1,6 +1,7 @@
 #include "detect/matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -9,7 +10,7 @@
 namespace botmeter::detect {
 
 DomainMatcher::DomainMatcher(Duration epoch_length)
-    : epoch_length_(epoch_length) {
+    : epoch_length_(epoch_length), slots_(1024) {
   if (epoch_length.millis() <= 0) {
     throw ConfigError("DomainMatcher: epoch length must be positive");
   }
@@ -23,54 +24,70 @@ void DomainMatcher::add_epoch(const dga::EpochPool& pool,
   if (window.detected.size() != pool.domains.size()) {
     throw ConfigError("DomainMatcher: detection window size mismatch");
   }
-  for (std::uint32_t pos = 0; pos < pool.size(); ++pos) {
-    if (!window.detected[pos]) continue;
-    const auto [it, inserted] = index_.try_emplace(pool.domains[pos]);
-    it->second.push_back(Occurrence{pool.epoch, pos, pool.is_valid_position(pos)});
-    if (inserted) fast_insert(*it);
-    ++index_size_;
+  std::size_t key_bytes = keys_.size();
+  for (const std::string& domain : pool.domains) key_bytes += domain.size();
+  if (key_bytes > UINT32_MAX || occurrences_.size() + pool.size() >= UINT32_MAX) {
+    throw ConfigError("DomainMatcher: index outgrows its 32-bit offsets");
   }
-}
-
-void DomainMatcher::fast_insert(const IndexEntry& entry) {
-  if (fast_.empty() || (fast_count_ + 1) * 2 > fast_.size()) {
-    std::vector<FastSlot> grown(fast_.empty() ? 1024 : fast_.size() * 2);
+  // Room for every position being new, so an epoch never rehashes midway;
+  // growth re-places slots by their stored hash bits, never rereading keys.
+  const std::size_t room = std::bit_ceil(2 * (entries_.size() + pool.size()));
+  if (room > slots_.size()) {
+    std::vector<Slot> grown(room);
     const std::size_t mask = grown.size() - 1;
-    for (const FastSlot& slot : fast_) {
-      if (slot.entry == nullptr) continue;
+    for (const Slot& slot : slots_) {
+      if (slot.entry == 0) continue;
       std::size_t i = slot.hash & mask;
-      while (grown[i].entry != nullptr) i = (i + 1) & mask;
+      while (grown[i].entry != 0) i = (i + 1) & mask;
       grown[i] = slot;
     }
-    fast_ = std::move(grown);
+    slots_ = std::move(grown);
   }
-  const std::uint64_t hash = StringHash{}(entry.first);
-  const std::size_t mask = fast_.size() - 1;
-  std::size_t i = hash & mask;
-  while (fast_[i].entry != nullptr) i = (i + 1) & mask;
-  fast_[i] = FastSlot{hash, &entry};
-  ++fast_count_;
+  for (std::uint32_t pos = 0; pos < pool.size(); ++pos) {
+    if (!window.detected[pos]) continue;
+    const std::string& domain = pool.domains[pos];
+    const auto id = static_cast<std::uint32_t>(occurrences_.size());
+    const std::uint32_t hash = key_hash(domain);
+    Slot& slot = slots_[probe(hash, domain)];
+    if (slot.entry != 0) {
+      Entry& entry = entries_[slot.entry - 1];
+      occurrences_[entry.last].next = id;
+      entry.last = id;
+    } else {
+      slot = Slot{hash, static_cast<std::uint32_t>(entries_.size() + 1)};
+      entries_.push_back(Entry{static_cast<std::uint32_t>(keys_.size()),
+                               static_cast<std::uint32_t>(domain.size()), id, id});
+      keys_ += domain;
+    }
+    occurrences_.push_back(
+        Occurrence{pool.epoch, pos, 0, pool.is_valid_position(pos)});
+  }
 }
 
-DomainMatcher::Resolved DomainMatcher::fast_find(
-    std::uint64_t hash, std::string_view domain) const {
-  const std::size_t mask = fast_.size() - 1;
-  Resolved resolved;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const FastSlot& slot = fast_[i];
-    if (slot.entry == nullptr) return resolved;
-    if (slot.hash == hash && slot.entry->first == domain) {
-      resolved.occurrences_ = &slot.entry->second;
-      return resolved;
+std::size_t DomainMatcher::probe(std::uint32_t hash,
+                                 std::string_view domain) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; slots_[i].entry != 0; i = (i + 1) & mask) {
+    const Entry& e = entries_[slots_[i].entry - 1];
+    if (slots_[i].hash == hash &&
+        std::string_view(keys_.data() + e.key_offset, e.key_length) == domain) {
+      break;
     }
   }
+  return i;
+}
+
+DomainMatcher::Resolved DomainMatcher::find(std::uint32_t hash,
+                                            std::string_view domain) const {
+  const Slot& slot = slots_[probe(hash, domain)];
+  Resolved resolved;
+  if (slot.entry != 0) resolved.entry_ = &entries_[slot.entry - 1];
+  return resolved;
 }
 
 DomainMatcher::Resolved DomainMatcher::resolve(std::string_view domain) const {
-  const auto it = index_.find(domain);
-  Resolved resolved;
-  if (it != index_.end()) resolved.occurrences_ = &it->second;
-  return resolved;
+  return find(key_hash(domain), domain);
 }
 
 void DomainMatcher::resolve_many(std::span<const std::string_view> domains,
@@ -78,45 +95,38 @@ void DomainMatcher::resolve_many(std::span<const std::string_view> domains,
   if (domains.size() != out.size()) {
     throw ConfigError("DomainMatcher::resolve_many: output span size mismatch");
   }
-  if (fast_count_ == 0) {
-    std::fill(out.begin(), out.end(), Resolved{});
-    return;
-  }
   // Staged pipeline over fixed chunks: hash everything first, then walk the
-  // miss chain in prefetch waves — first the probe slots, then the map nodes
-  // they name, then the key bytes — so by the time fast_find compares keys,
-  // each lookup's three dependent lines are already in flight.
-  const std::size_t mask = fast_.size() - 1;
+  // miss chain in prefetch waves — first the home slots, then the entries
+  // they name, then the key bytes — so by the time find compares keys, each
+  // lookup's three dependent lines are already in flight.
+  const std::size_t mask = slots_.size() - 1;
   constexpr std::size_t kChunk = 64;
-  std::uint64_t hash[kChunk];
-  const FastSlot* slot[kChunk];
+  std::uint32_t hash[kChunk];
+  const Slot* slot[kChunk];
   for (std::size_t base = 0; base < domains.size(); base += kChunk) {
     const std::size_t m = std::min(kChunk, domains.size() - base);
     for (std::size_t j = 0; j < m; ++j) {
-      hash[j] = StringHash{}(domains[base + j]);
-      slot[j] = &fast_[hash[j] & mask];
+      hash[j] = key_hash(domains[base + j]);
+      slot[j] = &slots_[hash[j] & mask];
       prefetch_ro(slot[j]);
     }
     for (std::size_t j = 0; j < m; ++j) {
-      if (slot[j]->entry != nullptr) prefetch_ro(slot[j]->entry);
+      if (slot[j]->entry != 0) prefetch_ro(&entries_[slot[j]->entry - 1]);
     }
     for (std::size_t j = 0; j < m; ++j) {
-      const IndexEntry* entry = slot[j]->entry;
-      if (entry != nullptr && slot[j]->hash == hash[j]) {
-        prefetch_ro(entry->first.data());
+      if (slot[j]->entry != 0 && slot[j]->hash == hash[j]) {
+        prefetch_ro(keys_.data() + entries_[slot[j]->entry - 1].key_offset);
       }
     }
     for (std::size_t j = 0; j < m; ++j) {
-      out[base + j] = fast_find(hash[j], domains[base + j]);
+      out[base + j] = find(hash[j], domains[base + j]);
     }
   }
 }
 
 std::int64_t DomainMatcher::nominal_epoch(TimePoint t) const {
-  return t.millis() >= 0
-             ? t.millis() / epoch_length_.millis()
-             : (t.millis() - epoch_length_.millis() + 1) /
-                   epoch_length_.millis();
+  const std::int64_t ms = t.millis(), length = epoch_length_.millis();
+  return ms >= 0 ? ms / length : (ms - length + 1) / length;
 }
 
 DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
@@ -127,16 +137,18 @@ DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
 DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
     Resolved resolved, TimePoint t, dns::ServerId forwarder,
     std::int64_t nominal) const {
-  const auto& occurrences =
-      *static_cast<const std::vector<Occurrence>*>(resolved.occurrences_);
+  const Entry& entry = *static_cast<const Entry*>(resolved.entry_);
 
   // Attribute the lookup to the pool epoch containing its timestamp when
   // possible; otherwise to the closest registered epoch (a lookup train
   // that spilled past an epoch boundary, or a sliding-window domain
-  // observed outside its generation day).
-  const Occurrence* best = &occurrences.front();
+  // observed outside its generation day). Only a strictly closer epoch
+  // replaces the best, so the first registered wins ties.
+  const Occurrence* best = &occurrences_[entry.first];
   std::int64_t best_distance = std::abs(best->epoch - nominal);
-  for (const Occurrence& occ : occurrences) {
+  for (std::uint32_t i = best->next; i != 0 && best_distance != 0;
+       i = occurrences_[i].next) {
+    const Occurrence& occ = occurrences_[i];
     const std::int64_t distance = std::abs(occ.epoch - nominal);
     if (distance < best_distance) {
       best = &occ;

@@ -14,7 +14,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -93,25 +92,16 @@ class DomainMatcher {
   void add_epoch(const dga::EpochPool& pool, const DetectionWindow& window);
 
   /// Match a vantage-point stream. Unmatched lookups (benign traffic,
-  /// missed NXDs) are dropped; pass `stats` to learn how many.
-  [[nodiscard]] MatchedStreams match(
-      std::span<const dns::ForwardedLookup> stream) const {
-    return match(stream, nullptr);
-  }
-  [[nodiscard]] MatchedStreams match(
-      std::span<const dns::ForwardedLookup> stream, MatchStats* stats) const {
-    return match(stream, stats, nullptr);
-  }
-
-  /// Parallel variant: shards the stream into contiguous ranges over
-  /// `workers` and merges the per-shard results serially in shard order.
-  /// Matching is stateless per lookup and per-key concatenation in shard
-  /// order reproduces the exact stream order, so the output (and `stats`)
-  /// is bit-identical to the serial overloads for any worker count. A null
-  /// or single-threaded pool degrades to the serial loop.
+  /// missed NXDs) are dropped; pass `stats` to learn how many. With
+  /// `workers`, the stream is sharded into contiguous ranges and the
+  /// per-shard results merged serially in shard order. Matching is stateless
+  /// per lookup and per-key concatenation in shard order reproduces the
+  /// exact stream order, so the output (and `stats`) is bit-identical to the
+  /// serial loop for any worker count; a null or single-threaded pool is
+  /// that serial loop.
   [[nodiscard]] MatchedStreams match(std::span<const dns::ForwardedLookup> stream,
-                                     MatchStats* stats,
-                                     WorkerPool* workers) const;
+                                     MatchStats* stats = nullptr,
+                                     WorkerPool* workers = nullptr) const;
 
   /// One matched lookup with its (server, epoch) attribution.
   struct MatchOutcome {
@@ -133,11 +123,11 @@ class DomainMatcher {
   class Resolved {
    public:
     Resolved() = default;
-    [[nodiscard]] explicit operator bool() const { return occurrences_ != nullptr; }
+    [[nodiscard]] explicit operator bool() const { return entry_ != nullptr; }
 
    private:
     friend class DomainMatcher;
-    const void* occurrences_ = nullptr;
+    const void* entry_ = nullptr;
   };
 
   /// One string hash per *distinct* domain: resolve the membership once
@@ -146,11 +136,11 @@ class DomainMatcher {
   [[nodiscard]] Resolved resolve(std::string_view domain) const;
 
   /// Batched resolve: `out[i] == resolve(domains[i])` for every i
-  /// (`out.size() == domains.size()`). Probes a flat open-addressed mirror
-  /// of the index with a software-prefetch pipeline, so the dependent cache
-  /// misses of tens of thousands of lookups against a large table overlap
-  /// instead of serialising — the block path resolves a whole freshly
-  /// interned table tail per call.
+  /// (`out.size() == domains.size()`). Probes the index with a
+  /// software-prefetch pipeline over slot, entry and key bytes, so the
+  /// dependent cache misses of tens of thousands of lookups against a large
+  /// table overlap instead of serialising — the block path resolves a whole
+  /// freshly interned table tail per call.
   void resolve_many(std::span<const std::string_view> domains,
                     std::span<Resolved> out) const;
 
@@ -178,52 +168,50 @@ class DomainMatcher {
 
   [[nodiscard]] Duration epoch_length() const { return epoch_length_; }
 
+  /// Registered (domain, epoch) occurrences, over all epochs.
   [[nodiscard]] std::uint64_t matchable_domain_count() const {
-    return index_size_;
+    return occurrences_.size();
   }
 
  private:
+  // The index is one flat table: every distinct domain's bytes in one arena
+  // (`keys_`), one `Entry` per distinct domain, one `Occurrence` per
+  // registration, chained per domain in registration order (`next` 0 ends a
+  // chain: links only point forward, so occurrence 0 succeeds nobody), and
+  // a power-of-two linear-probe `Slot` table at load ≤ 1/2 holding each
+  // key's low 32 hash bits (which also pick its home slot) and its entry
+  // id + 1 (0 marks an empty slot).
   struct Occurrence {
     std::int64_t epoch;
     std::uint32_t pool_position;
+    std::uint32_t next;
     bool is_valid;
   };
-
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  struct Entry {
+    std::uint32_t key_offset;
+    std::uint32_t key_length;
+    std::uint32_t first;  // occurrence chain ends
+    std::uint32_t last;
+  };
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t entry = 0;
   };
 
+  static std::uint32_t key_hash(std::string_view domain) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(domain));
+  }
+  /// The slot holding `domain`, or the empty slot ending its probe run.
+  [[nodiscard]] std::size_t probe(std::uint32_t hash, std::string_view domain) const;
+  [[nodiscard]] Resolved find(std::uint32_t hash, std::string_view domain) const;
   void match_range(std::span<const dns::ForwardedLookup> stream,
                    MatchedStreams& out, MatchStats& stats) const;
 
-  using IndexEntry = std::pair<const std::string, std::vector<Occurrence>>;
-
-  /// One slot of the flat probe table: the key's hash plus the address of
-  /// the owning map node (node addresses are stable across map rehashes).
-  struct FastSlot {
-    std::uint64_t hash = 0;
-    const IndexEntry* entry = nullptr;
-  };
-
-  void fast_insert(const IndexEntry& entry);
-  [[nodiscard]] Resolved fast_find(std::uint64_t hash,
-                                   std::string_view domain) const;
-
   Duration epoch_length_;
-  std::unordered_map<std::string, std::vector<Occurrence>, StringHash,
-                     std::equal_to<>>
-      index_;
-  std::uint64_t index_size_ = 0;
-
-  /// Flat linear-probe mirror of `index_` (power-of-two size, load ≤ 1/2),
-  /// maintained by add_epoch and read-only afterwards — resolve_many's
-  /// prefetch pipeline needs direct slot addresses, which the node-based
-  /// map cannot expose.
-  std::vector<FastSlot> fast_;
-  std::size_t fast_count_ = 0;
+  std::string keys_;
+  std::vector<Entry> entries_;
+  std::vector<Occurrence> occurrences_;
+  std::vector<Slot> slots_;
 };
 
 /// Structural recognition of a DGA family's output: length bounds, allowed

@@ -151,7 +151,7 @@ void EventJournal::dump(const std::string& path) const {
     throw DataError("cannot open journal dump path: " + path);
   }
   out << json::write_pretty(to_json());
-  if (!out) {
+  if (!out.flush()) {
     throw DataError("failed writing journal dump: " + path);
   }
 }

@@ -124,7 +124,7 @@ void write_report_file(const RunReport& report, const std::string& path) {
   std::ofstream file(path);
   if (!file) throw DataError("run report: cannot open " + path);
   file << export_json(report);
-  if (!file) throw DataError("run report: failed writing " + path);
+  if (!file.flush()) throw DataError("run report: failed writing " + path);
 }
 
 }  // namespace botmeter::obs

@@ -232,7 +232,7 @@ void write_chrome_trace_file(const TraceSession& session,
   std::ofstream file(path);
   if (!file) throw DataError("chrome trace: cannot open " + path);
   file << json::write_pretty(chrome_trace_json(session));
-  if (!file) throw DataError("chrome trace: failed writing " + path);
+  if (!file.flush()) throw DataError("chrome trace: failed writing " + path);
 }
 
 }  // namespace botmeter::obs

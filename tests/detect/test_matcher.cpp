@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+
 #include "common/error.hpp"
 #include "dga/families.hpp"
 
@@ -208,6 +211,143 @@ TEST_F(MatcherTest, ResolveManyAgreesWithResolve) {
 
   std::vector<DomainMatcher::Resolved> wrong_size(domains.size() + 1);
   EXPECT_THROW(matcher_.resolve_many(domains, wrong_size), ConfigError);
+}
+
+// One registration of a domain, as a brute-force reference keeps it.
+struct Registration {
+  std::int64_t epoch;
+  std::uint32_t position;
+  bool valid;
+};
+
+TEST(MatcherIndexTest, SlidingWindowAttributionMatchesClosestEpochScan) {
+  // Ranbyus pools hold the last 31 days' domains, so most domains sit in
+  // every registered epoch's pool. Registering 44, 42, 40, 43 out of order
+  // leaves nominal epoch 41 a tie that only the registration order breaks
+  // (42, registered before 40), and puts the exact hit for nominal 43 last
+  // in the chain, behind two candidates one epoch away.
+  auto model = dga::make_pool_model(dga::ranbyus_config());
+  DomainMatcher matcher(days(1));
+  std::map<std::string, std::vector<Registration>> reference;
+  for (const std::int64_t epoch : {44, 42, 40, 43}) {
+    const dga::EpochPool& pool = model->epoch_pool(epoch);
+    matcher.add_epoch(pool, perfect_detection(pool));
+    for (std::uint32_t pos = 0; pos < pool.size(); ++pos) {
+      reference[pool.domains[pos]].push_back(
+          {epoch, pos, pool.is_valid_position(pos)});
+    }
+  }
+  std::size_t occurrences = 0, ties_broken = 0;
+  for (const auto& [domain, registrations] : reference) {
+    occurrences += registrations.size();
+    const DomainMatcher::Resolved resolved = matcher.resolve(domain);
+    ASSERT_TRUE(static_cast<bool>(resolved)) << domain;
+    for (std::int64_t nominal = 36; nominal <= 48; ++nominal) {
+      const Registration* best = &registrations.front();
+      for (const Registration& r : registrations) {
+        if (std::abs(r.epoch - nominal) < std::abs(best->epoch - nominal)) {
+          best = &r;
+        }
+      }
+      if (nominal == 41 && best->epoch == 42 && registrations.size() == 4) {
+        ++ties_broken;
+      }
+      const TimePoint t{nominal * days(1).millis() + 1234};
+      const auto outcome = matcher.match_resolved(resolved, t, dns::ServerId{3});
+      EXPECT_EQ(outcome.key, (StreamKey{dns::ServerId{3}, best->epoch}))
+          << domain << " @" << nominal;
+      EXPECT_EQ(outcome.lookup, (MatchedLookup{t, best->position, best->valid}))
+          << domain << " @" << nominal;
+      const auto one = matcher.match_one({t, dns::ServerId{3}, domain});
+      ASSERT_TRUE(one.has_value());
+      EXPECT_EQ(one->key, outcome.key);
+      EXPECT_EQ(one->lookup, outcome.lookup);
+    }
+  }
+  EXPECT_EQ(matcher.matchable_domain_count(), occurrences);
+  EXPECT_LT(reference.size(), occurrences);  // chains longer than one exist
+  EXPECT_GT(ties_broken, 0u);
+}
+
+TEST(MatcherIndexTest, GrowthKeepsEarlierAttribution) {
+  // 500 domains fit the initial 1024 slots at load 1/2; a second epoch of
+  // 500 more cannot, so the slot table grows and rehashes.
+  dga::DgaConfig config = tiny_config();
+  config.nxd_count = 499;
+  config.barrel_size = 500;
+  auto model = dga::make_pool_model(config);
+  const dga::EpochPool& first = model->epoch_pool(0);
+  const dga::EpochPool& second = model->epoch_pool(1);
+  DomainMatcher matcher(days(1));
+  matcher.add_epoch(first, perfect_detection(first));
+  const TimePoint t{minutes(3).millis()};
+  std::vector<DomainMatcher::MatchOutcome> before;
+  for (const std::string& domain : first.domains) {
+    before.push_back(
+        matcher.match_resolved(matcher.resolve(domain), t, dns::ServerId{1}));
+  }
+  matcher.add_epoch(second, perfect_detection(second));
+  EXPECT_EQ(matcher.matchable_domain_count(), first.size() + second.size());
+  for (std::uint32_t pos = 0; pos < first.size(); ++pos) {
+    SCOPED_TRACE(first.domains[pos]);
+    const DomainMatcher::Resolved resolved = matcher.resolve(first.domains[pos]);
+    ASSERT_TRUE(static_cast<bool>(resolved));
+    const auto after = matcher.match_resolved(resolved, t, dns::ServerId{1});
+    EXPECT_EQ(after.key, before[pos].key);
+    EXPECT_EQ(after.lookup, before[pos].lookup);
+  }
+  const TimePoint later{days(1).millis() + minutes(3).millis()};
+  for (std::uint32_t pos = 0; pos < second.size(); ++pos) {
+    const auto outcome = matcher.match_one({later, dns::ServerId{1},
+                                            second.domains[pos]});
+    ASSERT_TRUE(outcome.has_value()) << second.domains[pos];
+    EXPECT_EQ(outcome->key.epoch, 1);
+  }
+}
+
+TEST(MatcherIndexTest, ResolveManyMatchesResolveElementByElement) {
+  const auto agree = [](const DomainMatcher& matcher,
+                        const std::vector<std::string_view>& domains) {
+    std::vector<DomainMatcher::Resolved> batched(domains.size());
+    matcher.resolve_many(domains, batched);
+    const TimePoint t{seconds(17).millis()};
+    std::size_t members = 0;
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      SCOPED_TRACE(std::string(domains[i]));
+      const DomainMatcher::Resolved single = matcher.resolve(domains[i]);
+      EXPECT_EQ(static_cast<bool>(batched[i]), static_cast<bool>(single));
+      if (!single || !batched[i]) continue;
+      ++members;
+      const auto a = matcher.match_resolved(batched[i], t, dns::ServerId{2});
+      const auto b = matcher.match_resolved(single, t, dns::ServerId{2});
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.lookup, b.lookup);
+    }
+    return members;
+  };
+  // Members and non-members interleaved over three full 64-wide chunks and
+  // a partial fourth.
+  auto model = dga::make_pool_model(dga::murofet_config());
+  const dga::EpochPool& pool = model->epoch_pool(0);
+  std::vector<std::string> misses;
+  for (int i = 0; i < 100; ++i) {
+    misses.push_back("benign" + std::to_string(i) + ".example");
+  }
+  std::vector<std::string_view> domains;
+  for (std::size_t i = 0; i < 100; ++i) {
+    domains.push_back(pool.domains[i * 3]);
+    domains.push_back(misses[i]);
+  }
+  domains.push_back(pool.domains[7]);  // a repeat in the same batch
+  ASSERT_GT(domains.size(), 3u * 64u);
+
+  const DomainMatcher empty(days(1));
+  EXPECT_EQ(agree(empty, domains), 0u);
+  EXPECT_EQ(agree(empty, {}), 0u);
+
+  DomainMatcher matcher(days(1));
+  matcher.add_epoch(pool, perfect_detection(pool));
+  EXPECT_EQ(agree(matcher, domains), 101u);
 }
 
 TEST(AlgorithmicPatternTest, MatchesGeneratedDomains) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <functional>
 
 #include "frontend.hpp"
 #include "obs/event_journal.hpp"
@@ -107,6 +109,41 @@ TEST(FrontEndTest, LandscapeHistoryRouteRejectsBadQueries) {
   EXPECT_EQ(route({"/landscape/history", "from=soon"}).status, 400);
   EXPECT_EQ(route({"/landscape/history", "family=Conficker.C"}).status, 404);
   EXPECT_EQ(route({"/landscape/history", "family=newGoZ&from=0"}).status, 200);
+}
+
+TEST(FrontEndTest, LostWritesThrowDataError) {
+  // /dev/full accepts the open and fails every write, so a document small
+  // enough to sit in the stream buffer is only lost at the flush.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_json_file("/dev/full", json::Value(std::string("x")),
+                               "checkpoint"),
+               DataError);
+  EXPECT_THROW(obs::EventJournal().dump("/dev/full"), DataError);
+}
+
+TEST(FrontEndTest, UsageOnlyForCommandLineErrors) {
+  const auto stderr_of = [](std::vector<const char*> argv,
+                            const std::function<int(const CliArgs&)>& body) {
+    argv.insert(argv.begin(), "prog");
+    ToolSpec spec;
+    spec.name = "prog";
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_tool(static_cast<int>(argv.size()),
+                       const_cast<char**>(argv.data()), spec, body),
+              1);
+    return testing::internal::GetCapturedStderr();
+  };
+  const auto throws = [](auto error) {
+    return [error](const CliArgs&) -> int { throw error; };
+  };
+  EXPECT_EQ(stderr_of({}, throws(DataError("trace line 3: bad timestamp"))),
+            "error: trace line 3: bad timestamp\n");
+  EXPECT_EQ(stderr_of({}, throws(ConfigError("--servers must be positive")))
+                .rfind("error: --servers must be positive\nusage: prog ", 0),
+            0u);
+  EXPECT_EQ(stderr_of({"--nope"}, throws(DataError("unreached")))
+                .rfind("error: unknown argument '--nope'\nusage: prog ", 0),
+            0u);
 }
 
 }  // namespace

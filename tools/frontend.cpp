@@ -98,8 +98,11 @@ int run_tool(int argc, char** argv, ToolSpec spec,
     }
     set_this_thread_label("main");
     return body(args);
-  } catch (const Error& e) {
+  } catch (const ConfigError& e) {
     std::fprintf(stderr, "error: %s\n%s", e.what(), usage.c_str());
+    return 1;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 }
@@ -173,6 +176,9 @@ void write_json_file(const std::string& path, const json::Value& value,
   std::ofstream file(path);
   if (!file) throw DataError("cannot open " + path);
   file << json::write_pretty(value);
+  if (!file.flush()) {
+    throw DataError(std::string(what) + ": failed writing " + path);
+  }
   std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
 }
 
@@ -290,6 +296,7 @@ std::unique_ptr<obs::HttpExporter> start_exporter(const CliArgs& args,
     std::ofstream file(*port_file);
     if (!file) throw DataError("cannot open " + *port_file);
     file << exporter->port() << '\n';
+    if (!file.flush()) throw DataError("failed writing " + *port_file);
   }
   return exporter;
 }

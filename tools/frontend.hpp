@@ -43,8 +43,8 @@ struct ToolSpec {
 };
 
 /// Parse argv against the shared flags plus `spec`'s, answer --help, and
-/// run `body`. A BotMeter error prints "error: ..." and the usage to stderr
-/// and exits 1.
+/// run `body`. A BotMeter error prints "error: ..." to stderr and exits 1;
+/// only a ConfigError (a command-line mistake) also prints the usage.
 int run_tool(int argc, char** argv, ToolSpec spec,
              const std::function<int(const CliArgs&)>& body);
 
@@ -119,7 +119,8 @@ class RunSinks {
 };
 
 /// Write `value` pretty-printed to `path` and say so on stderr as
-/// "<what> written to <path>".
+/// "<what> written to <path>"; DataError naming the path when the file
+/// cannot be opened or the bytes do not reach it.
 void write_json_file(const std::string& path, const json::Value& value,
                      const char* what);
 
