@@ -36,6 +36,13 @@
 // with the per-server absolute relative error inside kMemoryAreLimit; the
 // process peak RSS lands at the JSON root as "peak_rss_bytes".
 //
+// A union-producer lane (report only, no gate) times the runtime's own
+// scatter path: one producer feeds a Conficker.C union trace (50k-domain
+// pools, one benign miss per DGA tuple) through ClusterRuntime::ingest per
+// tuple and through ClusterRuntime::ingest_block, at 1 and 3 shards. It
+// records the runtime's construction time (meter preparation included) and
+// the producer's ns per tuple up to its final flush().
+//
 // Results go to stdout as a table and to BENCH_cluster.json (schema
 // botmeter.bench_cluster.v1); pass an output path as argv[1] to redirect.
 #include <algorithm>
@@ -197,6 +204,111 @@ MemoryGuard run_memory_guard() {
   guard.pass = guard.reduction >= kMemoryReductionFloor &&
                guard.compact_spills > 0 && guard.are <= kMemoryAreLimit;
   return guard;
+}
+
+/// Union-producer lane (see header comment): best-of-kReps construction
+/// and producer time per (path, shard count).
+struct UnionLane {
+  std::string path;
+  std::size_t shards = 0;
+  std::size_t tuples = 0;
+  double construct_ms = std::numeric_limits<double>::infinity();
+  double producer_ns_per_tuple = std::numeric_limits<double>::infinity();
+  bool report_identical = false;
+};
+
+constexpr std::uint32_t kUnionBots = 64;
+constexpr std::size_t kUnionServers = 8;
+constexpr std::int64_t kUnionEpochs = 2;
+
+std::vector<UnionLane> run_union_lanes() {
+  const dga::DgaConfig family = dga::family_config("Conficker.C");
+  botnet::SimulationConfig sim;
+  sim.dga = family;
+  sim.bot_count = kUnionBots;
+  sim.server_count = kUnionServers;
+  sim.epoch_count = kUnionEpochs;
+  sim.seed = 7;
+  sim.record_raw = false;
+  const std::vector<dns::ForwardedLookup> dga = botnet::simulate(sim).observable;
+  std::vector<dns::ForwardedLookup> stream;
+  stream.reserve(2 * dga.size());
+  for (std::size_t i = 0; i < dga.size(); ++i) {
+    stream.push_back(dga[i]);
+    stream.push_back(dns::ForwardedLookup{
+        dga[i].timestamp, dga[i].forwarder,
+        "host" + std::to_string(i % 50021) + ".example"});
+  }
+  std::ostringstream blocks_os;
+  trace::write_blocks(blocks_os, stream);
+  const std::string blocks = blocks_os.str();
+
+  std::string reference;
+  {
+    stream::StreamEngineConfig config;
+    config.meter.dga = family;
+    config.epoch_count = kUnionEpochs;
+    config.server_count = kUnionServers;
+    stream::StreamEngine engine(config);
+    engine.ingest(stream);
+    reference = json::write(core::landscape_to_json(engine.finish()));
+  }
+
+  std::vector<UnionLane> lanes;
+  for (const char* path : {"ingest", "ingest_block"}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      UnionLane lane;
+      lane.path = path;
+      lane.shards = shards;
+      lane.tuples = stream.size();
+      for (int rep = 0; rep < kReps; ++rep) {
+        cluster::ClusterConfig config;
+        config.meter.dga = family;
+        config.epoch_count = kUnionEpochs;
+        config.router = cluster::ShardRouter::by_range(kUnionServers, shards);
+        const auto constructed = std::chrono::steady_clock::now();
+        cluster::ClusterRuntime runtime(std::move(config));
+        lane.construct_ms =
+            std::min(lane.construct_ms, wall_ms_since(constructed));
+
+        std::istringstream is(blocks);
+        const auto start = std::chrono::steady_clock::now();
+        if (lane.path == "ingest") {
+          for (const dns::ForwardedLookup& lookup : stream) {
+            runtime.ingest(lookup);
+          }
+        } else {
+          (void)trace::for_each_block(
+              is, [&runtime](const dns::LookupColumns& block,
+                             std::span<const std::string_view> table) {
+                runtime.ingest_block(block, table);
+              });
+        }
+        runtime.flush();
+        lane.producer_ns_per_tuple =
+            std::min(lane.producer_ns_per_tuple,
+                     wall_ms_since(start) * 1e6 /
+                         static_cast<double>(stream.size()));
+        lane.report_identical =
+            json::write(core::landscape_to_json(runtime.finish())) ==
+            reference;
+      }
+      lanes.push_back(std::move(lane));
+    }
+  }
+  return lanes;
+}
+
+json::Value to_json(const UnionLane& lane) {
+  using json::Value;
+  json::Object o;
+  o.emplace("path", Value(lane.path));
+  o.emplace("shards", Value(static_cast<double>(lane.shards)));
+  o.emplace("tuples", Value(static_cast<double>(lane.tuples)));
+  o.emplace("construct_ms", Value(lane.construct_ms));
+  o.emplace("producer_ns_per_tuple", Value(lane.producer_ns_per_tuple));
+  o.emplace("report_identical", Value(lane.report_identical));
+  return Value(std::move(o));
 }
 
 json::Value to_json(const MemoryGuard& g) {
@@ -435,6 +547,16 @@ int main(int argc, char** argv) {
       memory_guard.are, kMemoryAreLimit, memory_guard.approximate_servers,
       memory_guard.servers, memory_guard.pass ? "pass" : "FAIL");
 
+  json::Array union_lanes;
+  for (const UnionLane& lane : run_union_lanes()) {
+    std::printf(
+        "union producer: %-12s %zu shard(s), %zu tuples: construct %.1f ms, "
+        "producer %.1f ns/tuple, %s\n",
+        lane.path.c_str(), lane.shards, lane.tuples, lane.construct_ms,
+        lane.producer_ns_per_tuple, lane.report_identical ? "same" : "DIFF");
+    union_lanes.push_back(to_json(lane));
+  }
+
   json::Object root;
   root.emplace("schema", json::Value(std::string("botmeter.bench_cluster.v1")));
   root.emplace("family", json::Value(std::string(kFamily)));
@@ -462,6 +584,7 @@ int main(int argc, char** argv) {
     root.emplace("instrumentation", json::Value(std::move(o)));
   }
   root.emplace("memory_guard", to_json(memory_guard));
+  root.emplace("union_producer", json::Value(std::move(union_lanes)));
   root.emplace("peak_rss_bytes",
                json::Value(static_cast<double>(bench::peak_rss_bytes())));
   std::ofstream out(out_path);

@@ -18,11 +18,27 @@ namespace {
 
 constexpr const char* kCheckpointSchema = "botmeter.cluster_checkpoint.v1";
 constexpr const char* kHealthSchema = "botmeter.cluster_health.v1";
-constexpr std::uint32_t kNoRemap = 0xffffffffu;
 
 template <typename T>
 json::Value number(T v) {
   return json::Value(static_cast<double>(v));
+}
+
+/// The analysis configuration shard engines and their shared meter run
+/// under: the obs sinks are nulled, because shard stream.* series would
+/// collide across shards and per-shard histories would not be the merged
+/// landscape. The runtime publishes cluster.* series and merged rows itself.
+core::BotMeterConfig shard_meter_config(core::BotMeterConfig meter) {
+  meter.metrics = nullptr;
+  meter.trace = nullptr;
+  meter.history = nullptr;
+  return meter;
+}
+
+std::shared_ptr<const core::BotMeter> prepare_meter(const ClusterConfig& config) {
+  auto meter = std::make_shared<core::BotMeter>(shard_meter_config(config.meter));
+  meter->prepare_epochs(config.first_epoch, config.epoch_count);
+  return meter;
 }
 
 }  // namespace
@@ -60,25 +76,19 @@ void ClusterConfig::validate() const {
 // --- ShardFeed (thin forwarding handles) ------------------------------------
 
 void ShardFeed::ingest(const dns::ForwardedLookup& lookup) {
-  runtime_->feed_ingest(shard_, lookup);
+  runtime_->scatter_lookup(lookup, shard_);
 }
 
 void ShardFeed::ingest(std::span<const dns::ForwardedLookup> batch) {
   for (const dns::ForwardedLookup& lookup : batch) {
-    runtime_->feed_ingest(shard_, lookup);
+    runtime_->scatter_lookup(lookup, shard_);
   }
 }
 
 void ShardFeed::ingest_block(const dns::LookupColumns& block,
                              std::span<const std::string_view> domains) {
-  runtime_->feed_ingest_block(shard_, block, domains);
-}
-
-void ShardFeed::ingest_block(const dns::LookupColumns& block,
-                             std::span<const std::string> domains) {
-  std::vector<std::string_view> views(domains.begin(), domains.end());
-  runtime_->feed_ingest_block(shard_, block,
-                              std::span<const std::string_view>(views));
+  runtime_->scatter_block(block, domains,
+                          runtime_->shards_[shard_]->feed_remap, shard_);
 }
 
 void ShardFeed::advance(TimePoint watermark) {
@@ -91,6 +101,8 @@ void ShardFeed::flush() { runtime_->flush_shard(shard_); }
 
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_((config.validate(), std::move(config))),
+      meter_(prepare_meter(config_)),
+      estimator_name_(meter_->active_estimator().name()),
       merger_(config_.router, config_.first_epoch, config_.epoch_count),
       instr_(config_.lag != nullptr || config_.journal != nullptr ||
              config_.meter.trace != nullptr),
@@ -103,36 +115,31 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   for (std::size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-
-    stream::StreamEngineConfig ec;
-    ec.meter = config_.meter;
-    // Shard engines publish nothing themselves: their stream.* series would
-    // collide across shards and their per-shard histories would not be the
-    // merged landscape. The runtime publishes cluster.* series and records
-    // merged rows instead.
-    ec.meter.metrics = nullptr;
-    ec.meter.trace = nullptr;
-    ec.meter.history = nullptr;
-    ec.first_epoch = config_.first_epoch;
-    ec.epoch_count = config_.epoch_count;
-    ec.server_count = config_.router.servers_of(i).size();
-    ec.worker_threads = config_.shard_worker_threads;
-    ec.allowed_lateness = config_.allowed_lateness;
-    ec.compact_state = config_.compact_state;
-    ec.compact_spill_threshold = config_.compact_spill_threshold;
-    ec.compact = config_.compact;
-    shard->engine = std::make_unique<stream::StreamEngine>(std::move(ec));
-    shard->engine->on_epoch_close(
-        [this, i](const stream::EpochReport& report) {
-          handle_close(i, report.epoch);
-        });
+    shard->engine = make_engine(i);
     shard->monitor = std::make_unique<stream::StreamHealthMonitor>(
         config_.health.value_or(stream::StreamHealthConfig{}));
     shard->next_epoch.store(config_.first_epoch, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
-  estimator_name_ =
-      std::string(shards_.front()->engine->meter().active_estimator().name());
+}
+
+std::unique_ptr<stream::StreamEngine> ClusterRuntime::make_engine(
+    std::size_t index) {
+  stream::StreamEngineConfig ec;
+  ec.meter = shard_meter_config(config_.meter);
+  ec.first_epoch = config_.first_epoch;
+  ec.epoch_count = config_.epoch_count;
+  ec.server_count = config_.router.servers_of(index).size();
+  ec.worker_threads = config_.shard_worker_threads;
+  ec.allowed_lateness = config_.allowed_lateness;
+  ec.compact_state = config_.compact_state;
+  ec.compact_spill_threshold = config_.compact_spill_threshold;
+  ec.compact = config_.compact;
+  auto engine = std::make_unique<stream::StreamEngine>(std::move(ec), meter_);
+  engine->on_epoch_close([this, index](const stream::EpochReport& report) {
+    handle_close(index, report.epoch);
+  });
+  return engine;
 }
 
 ClusterRuntime::~ClusterRuntime() { stop_threads(); }
@@ -301,19 +308,9 @@ void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
     }
   }
 
-  // New table entries first: ids in the batch's columns were assigned
-  // against the table including them.
-  for (std::string& s : batch.new_strings) {
-    shard.storage.push_back(std::move(s));
-    shard.table.emplace_back(shard.storage.back());
-  }
   if (!batch.t_ms.empty()) {
-    dns::LookupColumns columns;
-    columns.t_ms = batch.t_ms;
-    columns.server = batch.server;
-    columns.domain = batch.domain;
-    shard.engine->ingest_block(columns,
-                               std::span<const std::string_view>(shard.table));
+    shard.engine->ingest_resolved(
+        dns::LookupColumns{batch.t_ms, batch.server, batch.entry});
   }
   if (batch.advance) {
     shard.engine->advance(*batch.advance);
@@ -440,38 +437,39 @@ void ClusterRuntime::stop_threads(bool close_engines) {
 
 // --- producer-side scatter --------------------------------------------------
 
-std::uint32_t ClusterRuntime::intern_domain(ShardScatter& scatter,
-                                            std::string_view domain) {
-  const auto it = scatter.intern.find(domain);
-  if (it != scatter.intern.end()) return it->second;
-  const std::uint32_t id = scatter.next_id++;
-  scatter.intern.emplace(std::string(domain), id);
-  scatter.pending.new_strings.emplace_back(domain);
-  return id;
+std::size_t ClusterRuntime::route(std::uint32_t server,
+                                  std::optional<std::size_t> owner) const {
+  const std::size_t shard = config_.router.shard_of(server);
+  if (owner && shard != *owner) {
+    throw ConfigError("ShardFeed: server " + std::to_string(server) +
+                      " is not owned by shard " + std::to_string(*owner));
+  }
+  return shard;
 }
 
 void ClusterRuntime::scatter_tuple(std::size_t shard, std::int64_t t_ms,
                                    std::uint32_t local_server,
-                                   std::uint32_t local_domain) {
-  ShardScatter& scatter = shards_[shard]->scatter;
+                                   std::uint32_t entry) {
+  ShardBatch& pending = shards_[shard]->pending;
   // One predictable branch per tuple when instrumentation is off; the clock
   // is read once per *batch* (first tuple) when it is on.
-  if (instr_ && scatter.pending.t_ms.empty()) {
-    scatter.pending.formed_ms = obs_now_ms();
-  }
-  scatter.pending.t_ms.push_back(t_ms);
-  scatter.pending.server.push_back(local_server);
-  scatter.pending.domain.push_back(local_domain);
-  if (scatter.pending.t_ms.size() >= config_.flush_tuples) flush_shard(shard);
+  if (instr_ && pending.t_ms.empty()) pending.formed_ms = obs_now_ms();
+  pending.t_ms.push_back(t_ms);
+  pending.server.push_back(local_server);
+  pending.entry.push_back(entry);
+  if (pending.t_ms.size() >= config_.flush_tuples) flush_shard(shard);
+}
+
+void ClusterRuntime::scatter_lookup(const dns::ForwardedLookup& lookup,
+                                    std::optional<std::size_t> owner) {
+  const std::uint32_t server = lookup.forwarder.value();
+  scatter_tuple(route(server, owner), lookup.timestamp.millis(),
+                config_.router.local_index(server),
+                meter_->matcher().resolve(lookup.domain).entry());
 }
 
 void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
-  const std::uint32_t server = lookup.forwarder.value();
-  const std::size_t shard = config_.router.shard_of(server);
-  ShardScatter& scatter = shards_[shard]->scatter;
-  scatter_tuple(shard, lookup.timestamp.millis(),
-                config_.router.local_index(server),
-                intern_domain(scatter, lookup.domain));
+  scatter_lookup(lookup, std::nullopt);
 }
 
 void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
@@ -479,42 +477,40 @@ void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
 }
 
 void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
-                                  std::span<const std::string> domains) {
-  std::vector<std::string_view> views(domains.begin(), domains.end());
-  ingest_block(block, std::span<const std::string_view>(views));
+                                  std::span<const std::string_view> domains) {
+  scatter_block(block, domains, remap_, std::nullopt);
 }
 
-void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
-                                  std::span<const std::string_view> domains) {
+void ClusterRuntime::scatter_block(
+    const dns::LookupColumns& block, std::span<const std::string_view> domains,
+    std::vector<detect::DomainMatcher::Resolved>& remap,
+    std::optional<std::size_t> owner) {
+  const char* const who =
+      owner ? "ShardFeed::ingest_block" : "ClusterRuntime::ingest_block";
   if (block.server.size() != block.size() ||
       block.domain.size() != block.size()) {
-    throw DataError("ClusterRuntime::ingest_block: ragged columns");
+    throw DataError(std::string(who) + ": ragged columns");
   }
+  meter_->matcher().resolve_tail(domains, remap);
   const std::size_t n = block.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t server = block.server[i];
-    const std::size_t shard = config_.router.shard_of(server);
-    ShardScatter& scatter = shards_[shard]->scatter;
+    const std::size_t shard = route(server, owner);
     const std::uint32_t pid = block.domain[i];
     if (pid >= domains.size()) {
-      throw DataError("ClusterRuntime::ingest_block: domain id " +
-                      std::to_string(pid) + " outside the table");
+      throw DataError(std::string(who) + ": domain id " + std::to_string(pid) +
+                      " outside the table");
     }
-    if (scatter.remap.size() < domains.size()) {
-      scatter.remap.resize(domains.size(), kNoRemap);
-    }
-    std::uint32_t& local = scatter.remap[pid];
-    if (local == kNoRemap) local = intern_domain(scatter, domains[pid]);
     scatter_tuple(shard, block.t_ms[i], config_.router.local_index(server),
-                  local);
+                  remap[pid].entry());
   }
 }
 
 void ClusterRuntime::flush_shard(std::size_t shard) {
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (scatter.pending.empty()) return;
-  ShardBatch batch = std::move(scatter.pending);
-  scatter.pending = ShardBatch{};
+  ShardBatch& pending = shards_[shard]->pending;
+  if (pending.empty()) return;
+  ShardBatch batch = std::move(pending);
+  pending = ShardBatch{};
   enqueue(shard, std::move(batch));
 }
 
@@ -535,53 +531,10 @@ ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
   return ShardFeed(this, shard);
 }
 
-void ClusterRuntime::feed_ingest(std::size_t shard,
-                                 const dns::ForwardedLookup& lookup) {
-  const std::uint32_t server = lookup.forwarder.value();
-  if (config_.router.shard_of(server) != shard) {
-    throw ConfigError("ShardFeed: server " + std::to_string(server) +
-                      " is not owned by shard " + std::to_string(shard));
-  }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  scatter_tuple(shard, lookup.timestamp.millis(),
-                config_.router.local_index(server),
-                intern_domain(scatter, lookup.domain));
-}
-
-void ClusterRuntime::feed_ingest_block(
-    std::size_t shard, const dns::LookupColumns& block,
-    std::span<const std::string_view> domains) {
-  if (block.server.size() != block.size() ||
-      block.domain.size() != block.size()) {
-    throw DataError("ShardFeed::ingest_block: ragged columns");
-  }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (scatter.remap.size() < domains.size()) {
-    scatter.remap.resize(domains.size(), kNoRemap);
-  }
-  const std::size_t n = block.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t server = block.server[i];
-    if (config_.router.shard_of(server) != shard) {
-      throw ConfigError("ShardFeed: server " + std::to_string(server) +
-                        " is not owned by shard " + std::to_string(shard));
-    }
-    const std::uint32_t pid = block.domain[i];
-    if (pid >= domains.size()) {
-      throw DataError("ShardFeed::ingest_block: domain id " +
-                      std::to_string(pid) + " outside the table");
-    }
-    std::uint32_t& local = scatter.remap[pid];
-    if (local == kNoRemap) local = intern_domain(scatter, domains[pid]);
-    scatter_tuple(shard, block.t_ms[i], config_.router.local_index(server),
-                  local);
-  }
-}
-
 void ClusterRuntime::feed_advance(std::size_t shard, TimePoint watermark) {
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (!scatter.pending.advance || watermark > *scatter.pending.advance) {
-    scatter.pending.advance = watermark;
+  ShardBatch& pending = shards_[shard]->pending;
+  if (!pending.advance || watermark > *pending.advance) {
+    pending.advance = watermark;
   }
   flush_shard(shard);
 }
@@ -621,6 +574,15 @@ core::LandscapeReport ClusterRuntime::finish() {
 }
 
 // --- introspection / health -------------------------------------------------
+
+const core::BotMeter& ClusterRuntime::shard_meter(std::size_t shard) const {
+  if (shard >= shards_.size()) {
+    throw ConfigError("ClusterRuntime: shard " + std::to_string(shard) +
+                      " outside the shard count " +
+                      std::to_string(shards_.size()));
+  }
+  return shards_[shard]->engine->meter();
+}
 
 ShardStats ClusterRuntime::shard_stats(std::size_t shard) const {
   if (shard >= shards_.size()) {
@@ -814,18 +776,31 @@ json::Value ClusterRuntime::checkpoint() {
 }
 
 void ClusterRuntime::restore(const json::Value& checkpoint) {
-  if (started_ || finished_) {
+  const bool fed = std::any_of(
+      shards_.begin(), shards_.end(), [](const std::unique_ptr<Shard>& shard) {
+        return !shard->pending.empty() || shard->engine->ingested() != 0;
+      });
+  if (started_ || finished_ || merger_.merged_count() != 0 || fed) {
     throw ConfigError("ClusterRuntime::restore: runtime already used");
-  }
-  if (merger_.merged_count() != 0) {
-    throw ConfigError("ClusterRuntime::restore: merger already populated");
   }
   if (checkpoint.at("schema").as_string() != kCheckpointSchema) {
     throw DataError("ClusterRuntime::restore: unknown schema '" +
                     checkpoint.at("schema").as_string() + "'");
   }
-  const ShardRouter stored = ShardRouter::from_json(checkpoint.at("router"));
-  if (!(stored == config_.router)) {
+  // Compare the router's shape before building anything from it: a tampered
+  // count must fail here, not as an allocation the size of the count.
+  const json::Value& stored_router = checkpoint.at("router");
+  const json::Value configured = config_.router.to_json();
+  for (const char* key : {"mode", "server_count", "shard_count"}) {
+    const std::string stored = json::write(stored_router.at(key));
+    const std::string want = json::write(configured.at(key));
+    if (stored != want) {
+      throw DataError("ClusterRuntime::restore: checkpoint router." +
+                      std::string(key) + " " + stored +
+                      " does not match the configured " + want);
+    }
+  }
+  if (!(ShardRouter::from_json(stored_router) == config_.router)) {
     throw DataError(
         "ClusterRuntime::restore: checkpoint was taken under a different "
         "routing — resumed traffic would land on the wrong shards");
@@ -836,36 +811,44 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
                     std::to_string(shards.size()) + " shards, runtime has " +
                     std::to_string(shards_.size()));
   }
+
+  // Load every envelope into a fresh engine — cheap, they borrow the shared
+  // meter — and check the frontier they imply (the merger merges an epoch
+  // once every shard closed it) before touching the runtime.
+  std::vector<std::unique_ptr<stream::StreamEngine>> engines;
+  engines.reserve(shards_.size());
+  std::size_t all_closed = static_cast<std::size_t>(config_.epoch_count);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->engine->restore(shards[i]);
+    engines.push_back(make_engine(i));
+    engines.back()->restore(shards[i]);
+    all_closed = std::min(all_closed, engines.back()->closed_rows().size());
+  }
+  const std::int64_t frontier =
+      config_.first_epoch + static_cast<std::int64_t>(all_closed);
+  const std::int64_t stored_frontier = checkpoint.at("merge_frontier").as_int();
+  if (stored_frontier != frontier) {
+    throw DataError("ClusterRuntime::restore: stored merge frontier " +
+                    std::to_string(stored_frontier) +
+                    " does not match the shards' frontier " +
+                    std::to_string(frontier));
   }
 
-  // Rebuild the merger from the restored engines' closed rows. The replay is
-  // silent — history records only post-restore merges, exactly as a restored
-  // single engine records only post-restore closes.
+  // Commit. Replay the closed rows into the merger silently — history
+  // records only post-restore merges, exactly as a restored single engine
+  // records only post-restore closes. The engines validated every row's
+  // width, so no offer below can throw.
   replaying_ = true;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->engine = std::move(engines[i]);
     const auto rows = shards_[i]->engine->closed_rows();
     for (std::size_t j = 0; j < rows.size(); ++j) {
       merger_.offer(i, config_.first_epoch + static_cast<std::int64_t>(j),
                     std::vector<estimators::EpochCell>(rows[j].begin(),
                                                        rows[j].end()));
     }
-  }
-  replaying_ = false;
-
-  const std::int64_t stored_frontier =
-      checkpoint.at("merge_frontier").as_int();
-  if (stored_frontier != merger_.merge_frontier()) {
-    throw DataError("ClusterRuntime::restore: stored merge frontier " +
-                    std::to_string(stored_frontier) +
-                    " does not match the replayed frontier " +
-                    std::to_string(merger_.merge_frontier()));
-  }
-
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
     mirror_counters(*shards_[i]);
   }
+  replaying_ = false;
   if (config_.journal != nullptr) {
     config_.journal->log(obs::EventKind::kRestore, -1,
                          obs::JournalEvent::kNoEpoch,

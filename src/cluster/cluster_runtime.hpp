@@ -14,22 +14,26 @@
 // because a (server, epoch) cell is a pure function of the server's matched
 // bucket and every server is owned by exactly one shard.
 //
-// Data path. Producers hand the runtime tuples (per-tuple or columnar
-// blocks); the runtime scatters them by router onto per-shard pending
-// batches, re-interning domains into each shard's own string table (shard
-// engines never share producer tables — each shard thread owns its table,
-// so no cross-thread view ever dangles). Batches flush to the shard queue
-// when full, on advance()/flush(), and at checkpoint/finish barriers; a full
-// queue blocks the producer — backpressure, never loss. Inside a shard
-// everything is columnar: the engine's ingest_block path is tuple-for-tuple
+// Data path. The runtime prepares one core::BotMeter (pool model, detection
+// windows, matcher index) and every shard engine borrows it read-only.
+// Producers hand the runtime tuples (per-tuple or columnar blocks); the
+// producer resolves each domain against that one matcher — per tuple on the
+// text path, once per new producer-table id on the block path (one remap
+// per producer lineage: the runtime's own, and one per ShardFeed) — and
+// scatters (t_ms, local server, matcher entry id) columns by router onto
+// per-shard pending batches. No string crosses a queue. Batches flush to
+// the shard queue when full, on advance()/flush(), and at checkpoint/finish
+// barriers; a full queue blocks the producer — backpressure, never loss.
+// Inside a shard the engine's ingest_resolved loop is tuple-for-tuple
 // identical to per-tuple ingest, which is what lets the cluster batch at
 // the boundary without changing a single bit of the result.
 //
 // Pre-split feeds. When the feed is already divided by border (one capture
 // per vantage), shard_feed(i) returns a direct handle bound to shard i with
-// its own scatter state — one producer thread per shard, no global
-// fan-out bottleneck. Feed handles and the cluster-level ingest calls share
-// per-shard scatter state and must not run concurrently with each other.
+// its own pending batch and table remap — one producer thread per shard, no
+// global fan-out bottleneck. Feed handles and the cluster-level ingest calls
+// share per-shard pending batches and must not run concurrently with each
+// other.
 //
 // Lateness caveat (same as the engine's stream≡batch equivalence): each
 // shard's watermark advances on *its* traffic only, so shards are more
@@ -40,10 +44,11 @@
 // Checkpointing generalizes the engine envelope: botmeter.cluster_checkpoint.v1
 // = router + merge frontier + one botmeter.stream_checkpoint.v1 per shard.
 // checkpoint() drains the queues, pauses every shard thread at an item
-// boundary, snapshots, and resumes; restore() loads each shard engine,
-// replays their closed rows into a fresh merger (silently — history only
-// records post-restore merges, mirroring StreamEngine::restore), and
-// cross-checks the stored frontier.
+// boundary, snapshots, and resumes; restore() loads every shard envelope
+// into a freshly built engine, cross-checks the stored frontier, and only
+// then swaps the engines in and replays their closed rows into the merger
+// (silently — history only records post-restore merges, mirroring
+// StreamEngine::restore). A rejected checkpoint changes nothing.
 //
 // Health. Each shard carries a StreamHealthMonitor sampled on its own
 // thread (engine accessors are not synchronized); the cluster folds the
@@ -182,7 +187,7 @@ class ClusterRuntime;
 
 /// Direct ingest handle bound to one shard, for feeds already split by
 /// border vantage. Obtain via ClusterRuntime::shard_feed(). One producer
-/// thread per feed; a feed shares its shard's scatter state with the
+/// thread per feed; a feed shares its shard's pending batch with the
 /// cluster-level ingest calls, so the two must not run concurrently.
 class ShardFeed {
  public:
@@ -197,8 +202,6 @@ class ShardFeed {
   /// holds global ids owned by this shard.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string> domains);
 
   /// Advance this shard's watermark without data.
   void advance(TimePoint watermark);
@@ -230,12 +233,10 @@ class ClusterRuntime {
   void ingest(std::span<const dns::ForwardedLookup> batch);
 
   /// Columnar ingest of one producer-lineage block (server column holds
-  /// global ids); domains re-intern per shard, one hash per distinct
-  /// producer id per shard, ever.
+  /// global ids); one hash per distinct producer id, ever, whatever the
+  /// shard count.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string> domains);
 
   /// Advance every shard's watermark (a quiet border still makes time pass).
   /// Flushes pending batches first so closes happen in ingest order.
@@ -260,6 +261,10 @@ class ClusterRuntime {
   }
   [[nodiscard]] const ShardRouter& router() const { return config_.router; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
+  /// The one prepared meter every shard engine borrows.
+  [[nodiscard]] const core::BotMeter& meter() const { return *meter_; }
+  /// The meter shard `shard`'s engine runs on — meter() itself.
+  [[nodiscard]] const core::BotMeter& shard_meter(std::size_t shard) const;
   [[nodiscard]] ShardStats shard_stats(std::size_t shard) const;
   /// First epoch not yet merged across every shard.
   [[nodiscard]] std::int64_t merge_frontier() const {
@@ -300,29 +305,28 @@ class ClusterRuntime {
   /// Load a cluster checkpoint into a freshly constructed runtime (nothing
   /// ingested, threads not yet started). The stored router must equal the
   /// configured one — a different routing would scatter resumed traffic onto
-  /// the wrong engines — and the stored frontier must match the replayed
-  /// merger's. Throws DataError on any mismatch; on failure the runtime may
-  /// not be used further.
+  /// the wrong engines — and the stored frontier must match the one the
+  /// shard states imply. Throws DataError on any mismatch. All or nothing:
+  /// a rejected checkpoint leaves the runtime as it was, so the same runtime
+  /// can restore another checkpoint or start from scratch.
   void restore(const json::Value& checkpoint);
 
  private:
   friend class ShardFeed;
 
   /// One unit of shard-thread work. Columns are shard-local: `server` holds
-  /// local dense indices, `domain` holds shard-table ids, `new_strings` are
-  /// the table entries this batch introduces (appended by the shard thread
-  /// before ingesting, preserving id order).
+  /// local dense indices, `entry` the producer-resolved matcher entry id of
+  /// each tuple's domain (DomainMatcher::kNoEntry for unmatched traffic).
   struct ShardBatch {
     std::vector<std::int64_t> t_ms;
     std::vector<std::uint32_t> server;
-    std::vector<std::uint32_t> domain;
-    std::vector<std::string> new_strings;
+    std::vector<std::uint32_t> entry;
     std::optional<TimePoint> advance;
     std::optional<double> sample_now_ms;
 
     // Lag/flow metadata, stamped only when instrumentation is attached
     // (obs_now_ms is never read otherwise). Not data: empty() ignores it.
-    /// When the batch's first tuple entered the pending scatter state.
+    /// When the batch's first tuple entered the pending batch.
     double formed_ms = 0.0;
     /// When the batch landed on the shard queue.
     double enqueued_ms = 0.0;
@@ -330,40 +334,20 @@ class ClusterRuntime {
     std::uint64_t flow_id = 0;
 
     [[nodiscard]] bool empty() const {
-      return t_ms.empty() && new_strings.empty() && !advance && !sample_now_ms;
+      return t_ms.empty() && !advance && !sample_now_ms;
     }
   };
 
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  /// Producer-side scatter state for one shard: the pending batch plus the
-  /// interning maps that translate producer domains to shard-table ids.
-  /// Owned by whichever single producer currently feeds the shard.
-  struct ShardScatter {
-    ShardBatch pending;
-    /// domain string -> shard-table id (covers both ingest paths).
-    std::unordered_map<std::string, std::uint32_t, StringHash,
-                       std::equal_to<>>
-        intern;
-    /// producer block-table id -> shard-table id (kNoRemap = not yet seen).
-    std::vector<std::uint32_t> remap;
-    /// Shard-table size after every enqueued batch + pending.new_strings.
-    std::uint32_t next_id = 0;
-  };
-
-  /// Shard-thread-side state: the bounded queue and the engine's string
-  /// table. `storage` is a deque so the string_view table never dangles on
-  /// growth; both are touched only by the shard thread once started.
+  /// One shard: its engine and monitor, the producer-side pending batch and
+  /// feed remap (owned by whichever single producer currently feeds the
+  /// shard), and the bounded queue the shard thread drains.
   struct Shard {
     std::size_t index = 0;
     std::unique_ptr<stream::StreamEngine> engine;
     std::unique_ptr<stream::StreamHealthMonitor> monitor;
-    ShardScatter scatter;
+    ShardBatch pending;
+    /// This shard's ShardFeed table id -> matcher entry.
+    std::vector<detect::DomainMatcher::Resolved> feed_remap;
     /// How many of the engine's close_latencies_ms() entries were already
     /// drained into the lag tracker's epoch_close stage. Touched only by
     /// the shard thread.
@@ -383,9 +367,6 @@ class ClusterRuntime {
     /// What the trailing close threw, rethrown by finish() on its thread.
     std::exception_ptr close_error;
 
-    std::deque<std::string> storage;
-    std::vector<std::string_view> table;
-
     // Point-in-time counters mirrored by the shard thread after each batch.
     std::atomic<std::uint64_t> ingested{0};
     std::atomic<std::uint64_t> matched{0};
@@ -399,6 +380,10 @@ class ClusterRuntime {
     std::thread thread;
   };
 
+  /// A fresh engine for shard `index` on the shared meter, wired to the
+  /// merger.
+  [[nodiscard]] std::unique_ptr<stream::StreamEngine> make_engine(
+      std::size_t index);
   void ensure_started();
   void shard_main(std::size_t index);
   void apply_batch(Shard& shard, ShardBatch& batch);
@@ -407,13 +392,19 @@ class ClusterRuntime {
   static void mirror_counters(Shard& shard);
   void enqueue(std::size_t shard, ShardBatch batch);
   void flush_shard(std::size_t shard);
-  [[nodiscard]] std::uint32_t intern_domain(ShardScatter& scatter,
-                                            std::string_view domain);
+  /// The shard owning `server`; with `owner` (a ShardFeed's shard), a
+  /// server another shard owns is a ConfigError.
+  [[nodiscard]] std::size_t route(std::uint32_t server,
+                                  std::optional<std::size_t> owner) const;
   void scatter_tuple(std::size_t shard, std::int64_t t_ms,
-                     std::uint32_t local_server, std::uint32_t local_domain);
-  void feed_ingest(std::size_t shard, const dns::ForwardedLookup& lookup);
-  void feed_ingest_block(std::size_t shard, const dns::LookupColumns& block,
-                         std::span<const std::string_view> domains);
+                     std::uint32_t local_server, std::uint32_t entry);
+  void scatter_lookup(const dns::ForwardedLookup& lookup,
+                      std::optional<std::size_t> owner);
+  /// Resolve `domains`' new tail into `remap`, then scatter the block.
+  void scatter_block(const dns::LookupColumns& block,
+                     std::span<const std::string_view> domains,
+                     std::vector<detect::DomainMatcher::Resolved>& remap,
+                     std::optional<std::size_t> owner);
   void feed_advance(std::size_t shard, TimePoint watermark);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
@@ -433,6 +424,9 @@ class ClusterRuntime {
   void drain_close_latencies(Shard& shard);
 
   ClusterConfig config_;
+  std::shared_ptr<const core::BotMeter> meter_;
+  /// The cluster-level ingest_block lineage's table id -> matcher entry.
+  std::vector<detect::DomainMatcher::Resolved> remap_;
   std::string estimator_name_;
   LandscapeMerger merger_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,5 +1,6 @@
 #include "cluster/shard_router.hpp"
 
+#include <cstdint>
 #include <string>
 
 #include "common/error.hpp"
@@ -124,32 +125,47 @@ json::Value ShardRouter::to_json() const {
 
 ShardRouter ShardRouter::from_json(const json::Value& value) {
   const std::string mode = value.at("mode").as_string();
-  const auto server_count =
-      static_cast<std::size_t>(value.at("server_count").as_int());
-  const auto shard_count =
-      static_cast<std::size_t>(value.at("shard_count").as_int());
-  if (mode == kModeRange) {
-    return by_range(server_count, shard_count);
-  }
-  if (mode != kModeExplicit) {
+  // Counts are checked before anything is sized by them: a tampered count
+  // is corrupt data, never a length_error or a terabyte allocation.
+  const auto count = [&value](const char* key) {
+    const std::int64_t n = value.at(key).as_int();
+    if (n < 1 || n > std::int64_t{UINT32_MAX}) {
+      throw DataError(std::string("ShardRouter: stored ") + key + " " +
+                      std::to_string(n) + " is outside [1, " +
+                      std::to_string(UINT32_MAX) + "]");
+    }
+    return static_cast<std::size_t>(n);
+  };
+  const std::size_t server_count = count("server_count");
+  const std::size_t shard_count = count("shard_count");
+  if (mode != kModeRange && mode != kModeExplicit) {
     throw DataError("ShardRouter: unknown router mode '" + mode + "'");
   }
-  const json::Array& assignment = value.at("assignment").as_array();
-  if (assignment.size() != server_count) {
-    throw DataError("ShardRouter: assignment length " +
-                    std::to_string(assignment.size()) +
-                    " does not match server_count " +
-                    std::to_string(server_count));
+  if (shard_count > server_count) {
+    throw DataError("ShardRouter: stored shard_count " +
+                    std::to_string(shard_count) + " exceeds server_count " +
+                    std::to_string(server_count) + " (a shard would be empty)");
   }
   std::vector<std::uint32_t> shard_of_server;
-  shard_of_server.reserve(assignment.size());
-  for (const json::Value& entry : assignment) {
-    const std::int64_t shard = entry.as_int();
-    if (shard < 0) throw DataError("ShardRouter: negative shard id");
-    shard_of_server.push_back(static_cast<std::uint32_t>(shard));
+  if (mode == kModeExplicit) {
+    const json::Array& assignment = value.at("assignment").as_array();
+    if (assignment.size() != server_count) {
+      throw DataError("ShardRouter: assignment length " +
+                      std::to_string(assignment.size()) +
+                      " does not match server_count " +
+                      std::to_string(server_count));
+    }
+    shard_of_server.reserve(assignment.size());
+    for (const json::Value& entry : assignment) {
+      const std::int64_t shard = entry.as_int();
+      if (shard < 0) throw DataError("ShardRouter: negative shard id");
+      shard_of_server.push_back(static_cast<std::uint32_t>(shard));
+    }
   }
   try {
-    return explicit_assignment(std::move(shard_of_server), shard_count);
+    return mode == kModeRange
+               ? by_range(server_count, shard_count)
+               : explicit_assignment(std::move(shard_of_server), shard_count);
   } catch (const ConfigError& e) {
     // A structurally invalid stored router is corrupt data, not a caller
     // configuration mistake.

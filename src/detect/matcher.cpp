@@ -81,9 +81,7 @@ std::size_t DomainMatcher::probe(std::uint32_t hash,
 DomainMatcher::Resolved DomainMatcher::find(std::uint32_t hash,
                                             std::string_view domain) const {
   const Slot& slot = slots_[probe(hash, domain)];
-  Resolved resolved;
-  if (slot.entry != 0) resolved.entry_ = &entries_[slot.entry - 1];
-  return resolved;
+  return slot.entry != 0 ? Resolved(slot.entry - 1) : Resolved();
 }
 
 DomainMatcher::Resolved DomainMatcher::resolve(std::string_view domain) const {
@@ -124,6 +122,14 @@ void DomainMatcher::resolve_many(std::span<const std::string_view> domains,
   }
 }
 
+void DomainMatcher::resolve_tail(std::span<const std::string_view> table,
+                                 std::vector<Resolved>& remap) const {
+  const std::size_t old = remap.size();
+  if (table.size() <= old) return;
+  remap.resize(table.size());
+  resolve_many(table.subspan(old), std::span<Resolved>(remap).subspan(old));
+}
+
 std::int64_t DomainMatcher::nominal_epoch(TimePoint t) const {
   const std::int64_t ms = t.millis(), length = epoch_length_.millis();
   return ms >= 0 ? ms / length : (ms - length + 1) / length;
@@ -137,7 +143,7 @@ DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
 DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
     Resolved resolved, TimePoint t, dns::ServerId forwarder,
     std::int64_t nominal) const {
-  const Entry& entry = *static_cast<const Entry*>(resolved.entry_);
+  const Entry& entry = entries_[resolved.entry()];
 
   // Attribute the lookup to the pool epoch containing its timestamp when
   // possible; otherwise to the closest registered epoch (a lookup train

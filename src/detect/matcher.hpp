@@ -116,18 +116,25 @@ class DomainMatcher {
   [[nodiscard]] std::optional<MatchOutcome> match_one(
       const dns::ForwardedLookup& lookup) const;
 
-  /// Pre-resolved pool membership of one domain string — the per-interned-id
-  /// cache entry of the batched block path. Falsy means the domain is not in
-  /// any detection window (the overwhelming majority of border traffic).
-  /// Valid as long as the matcher lives and no further add_epoch() happens.
+  /// entry() of a domain no detection window holds.
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+
+  /// Pre-resolved pool membership of one domain string: its dense entry id
+  /// in the index. Falsy means the domain is not in any detection window
+  /// (the overwhelming majority of border traffic). Ids are append-only —
+  /// add_epoch() never renumbers one — so a producer can resolve once and
+  /// ship the bare id to whichever consumer shares this matcher.
   class Resolved {
    public:
     Resolved() = default;
-    [[nodiscard]] explicit operator bool() const { return entry_ != nullptr; }
+    /// Rebuild a handle from entry(). Precondition: `entry` is kNoEntry or
+    /// below entry_count() of the matcher it came from.
+    explicit Resolved(std::uint32_t entry) : entry_(entry) {}
+    [[nodiscard]] explicit operator bool() const { return entry_ != kNoEntry; }
+    [[nodiscard]] std::uint32_t entry() const { return entry_; }
 
    private:
-    friend class DomainMatcher;
-    const void* entry_ = nullptr;
+    std::uint32_t entry_ = kNoEntry;
   };
 
   /// One string hash per *distinct* domain: resolve the membership once
@@ -143,6 +150,12 @@ class DomainMatcher {
   /// freshly interned table tail per call.
   void resolve_many(std::span<const std::string_view> domains,
                     std::span<Resolved> out) const;
+
+  /// Extend `remap` (producer table id -> Resolved) over the table's new
+  /// tail with one resolve_many; a table no longer than `remap` is a no-op.
+  /// One interning lineage per remap: the table may only grow between calls.
+  void resolve_tail(std::span<const std::string_view> table,
+                    std::vector<Resolved>& remap) const;
 
   /// Attribute one tuple of a pre-resolved domain. Precondition: `resolved`
   /// is truthy and came from this matcher. Attribution is byte-identical to
@@ -167,6 +180,11 @@ class DomainMatcher {
                                             std::int64_t nominal) const;
 
   [[nodiscard]] Duration epoch_length() const { return epoch_length_; }
+
+  /// Distinct registered domains: the bound on every Resolved::entry().
+  [[nodiscard]] std::uint32_t entry_count() const {
+    return static_cast<std::uint32_t>(entries_.size());
+  }
 
   /// Registered (domain, epoch) occurrences, over all epochs.
   [[nodiscard]] std::uint64_t matchable_domain_count() const {

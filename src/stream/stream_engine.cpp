@@ -25,6 +25,14 @@ json::Value number(T v) {
   return json::Value(static_cast<double>(v));
 }
 
+std::shared_ptr<const core::BotMeter> prepared_meter(
+    const StreamEngineConfig& config) {
+  config.validate();
+  auto meter = std::make_shared<core::BotMeter>(config.meter);
+  meter->prepare_epochs(config.first_epoch, config.epoch_count);
+  return meter;
+}
+
 }  // namespace
 
 void StreamEngineConfig::validate() const {
@@ -61,17 +69,39 @@ core::LandscapeReport EpochReport::as_landscape() const {
 }
 
 StreamEngine::StreamEngine(StreamEngineConfig config)
+    : StreamEngine(config, prepared_meter(config)) {}
+
+StreamEngine::StreamEngine(StreamEngineConfig config,
+                           std::shared_ptr<const core::BotMeter> meter)
     : config_((config.validate(), std::move(config))),
-      meter_(config_.meter),
+      meter_(std::move(meter)),
       // kAllow: close-time estimation is bit-identical for any worker count,
       // and determinism tests pin counts above small CI machines' cores.
       workers_(config_.worker_threads, WorkerPool::Oversubscribe::kAllow) {
-  meter_.prepare_epochs(config_.first_epoch, config_.epoch_count);
+  if (meter_ == nullptr) throw ConfigError("StreamEngine: null meter");
+  const core::BotMeterConfig& built = meter_->config();
+  const core::BotMeterConfig& want = config_.meter;
+  if (built.dga.name != want.dga.name || built.dga.seed != want.dga.seed ||
+      built.dga.epoch != want.dga.epoch || built.estimator != want.estimator ||
+      built.seed != want.seed ||
+      built.detection_miss_rate != want.detection_miss_rate ||
+      built.ttl.negative != want.ttl.negative) {
+    throw ConfigError(
+        "StreamEngine: the shared meter was built from another configuration");
+  }
+  const std::span<const std::int64_t> prepared = meter_->prepared_epochs();
+  for (std::int64_t e = config_.first_epoch;
+       e < config_.first_epoch + config_.epoch_count; ++e) {
+    if (!std::binary_search(prepared.begin(), prepared.end(), e)) {
+      throw ConfigError("StreamEngine: the shared meter has not prepared epoch " +
+                        std::to_string(e));
+    }
+  }
   if (config_.compact_state &&
-      !meter_.active_estimator().compact_support().supported) {
+      !meter_->active_estimator().compact_support().supported) {
     throw ConfigError(
         "StreamEngine: estimator '" +
-        std::string(meter_.active_estimator().name()) +
+        std::string(meter_->active_estimator().name()) +
         "' has no compact observation path; compact_state requires one");
   }
 }
@@ -111,7 +141,7 @@ void StreamEngine::note_open_bytes_grew(std::size_t delta) {
 
 void StreamEngine::spill_bucket(OpenBucket& bucket, std::int64_t epoch) {
   bucket.compact = std::make_unique<estimators::CompactCell>(
-      meter_.compact_spec_for_epoch(epoch, config_.compact));
+      meter_->compact_spec_for_epoch(epoch, config_.compact));
   bucket.compact->add_all(bucket.exact);
   open_bytes_ -= bucket.exact.capacity() * sizeof(detect::MatchedLookup);
   // Free, not clear — the buffer is what the spill sheds. (`= {}` would take
@@ -165,7 +195,7 @@ void StreamEngine::ingest(const dns::ForwardedLookup& lookup) {
   if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
   ++ingested_;
   const std::optional<detect::DomainMatcher::MatchOutcome> outcome =
-      meter_.matcher().match_one(lookup);
+      meter_->matcher().match_one(lookup);
   if (outcome) {
     ingest_matched(*outcome);
   } else {
@@ -187,34 +217,59 @@ void StreamEngine::ingest_block(const dns::LookupColumns& block,
   ingest_block(block, std::span<const std::string_view>(table_view_scratch_));
 }
 
-void StreamEngine::ingest_block(const dns::LookupColumns& block,
-                                std::span<const std::string_view> domains) {
+void StreamEngine::check_block(const dns::LookupColumns& block) const {
   if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
   if (block.server.size() != block.size() ||
       block.domain.size() != block.size()) {
-    throw DataError("StreamEngine::ingest_block: ragged columns");
+    throw DataError("StreamEngine: ragged block columns");
   }
-  if (domains.size() < resolved_.size()) {
+}
+
+void StreamEngine::ingest_block(const dns::LookupColumns& block,
+                                std::span<const std::string_view> domains) {
+  check_block(block);
+  if (domains.size() < remap_.size()) {
     throw ConfigError(
         "StreamEngine::ingest_block: domain table shrank — blocks from a "
         "different interning lineage");
   }
   obs::ScopedTimer block_span(config_.meter.trace, "stream.block.ingest");
-
-  // Resolve pool membership for the table's new tail: one hash per distinct
-  // domain per engine, ever — batched so the index's cache misses overlap.
-  const detect::DomainMatcher& matcher = meter_.matcher();
-  if (domains.size() > resolved_.size()) {
+  // Resolve the table's new tail: one hash per distinct domain per engine,
+  // ever — batched so the index's cache misses overlap.
+  if (domains.size() > remap_.size()) {
     obs::ScopedTimer resolve_span(config_.meter.trace,
                                   "stream.block.resolve_many");
-    const std::size_t old = resolved_.size();
-    resolve_scratch_.resize(domains.size() - old);
-    matcher.resolve_many(domains.subspan(old), resolve_scratch_);
-    resolved_.resize(domains.size());
-    for (std::size_t i = 0; i < resolve_scratch_.size(); ++i) {
-      resolved_[old + i].resolved = resolve_scratch_[i];
+    meter_->matcher().resolve_tail(domains, remap_);
+  }
+  for (const std::uint32_t id : block.domain) {
+    if (id >= remap_.size()) {
+      throw DataError("StreamEngine::ingest_block: domain id " +
+                      std::to_string(id) + " outside the table");
     }
   }
+  ingest_entries(block, [this, &block](std::size_t i) {
+    return remap_[block.domain[i]].entry();
+  });
+}
+
+void StreamEngine::ingest_resolved(const dns::LookupColumns& block) {
+  check_block(block);
+  obs::ScopedTimer block_span(config_.meter.trace, "stream.block.ingest");
+  const std::uint32_t entries = meter_->matcher().entry_count();
+  for (const std::uint32_t id : block.domain) {
+    if (id >= entries && id != detect::DomainMatcher::kNoEntry) {
+      throw DataError("StreamEngine::ingest_resolved: entry id " +
+                      std::to_string(id) + " outside the matcher");
+    }
+  }
+  ingest_entries(block, [&block](std::size_t i) { return block.domain[i]; });
+}
+
+template <typename EntryOf>
+void StreamEngine::ingest_entries(const dns::LookupColumns& block,
+                                  EntryOf entry_of) {
+  const detect::DomainMatcher& matcher = meter_->matcher();
+  if (memo_.size() != matcher.entry_count()) memo_.resize(matcher.entry_count());
 
   // The per-tuple loop keeps its bookkeeping in locals and commits on exit
   // (including the throw paths), so the compiler needn't reload members
@@ -252,42 +307,39 @@ void StreamEngine::ingest_block(const dns::LookupColumns& block,
   try {
     for (std::size_t i = 0; i < n; ++i) {
       if (const std::size_t ahead = i + 16; ahead < n) {
-        const std::uint32_t pid = block.domain[ahead];
-        if (pid < resolved_.size()) prefetch_ro(resolved_.data() + pid);
+        const std::uint32_t e = entry_of(ahead);
+        if (e != detect::DomainMatcher::kNoEntry) prefetch_ro(memo_.data() + e);
       }
       ++ingested;
-      const std::uint32_t id = block.domain[i];
-      if (id >= resolved_.size()) {
-        throw DataError("StreamEngine::ingest_block: domain id " +
-                        std::to_string(id) + " outside the table");
-      }
       const std::int64_t t_ms = block.t_ms[i];
-      BlockDomain& entry = resolved_[id];
-      if (entry.resolved) {
+      if (const std::uint32_t e = entry_of(i);
+          e != detect::DomainMatcher::kNoEntry) {
         if (t_ms < nominal_start || t_ms >= nominal_end) {
           nominal = matcher.nominal_epoch(TimePoint{t_ms});
           nominal_start = nominal * epoch_ms;
           nominal_end = nominal_start + epoch_ms;
         }
-        if (entry.memo_nominal != nominal) {
+        EntryMemo& memo = memo_[e];
+        if (memo.nominal != nominal) {
           const detect::DomainMatcher::MatchOutcome outcome =
-              matcher.match_resolved(entry.resolved, TimePoint{t_ms},
+              matcher.match_resolved(detect::DomainMatcher::Resolved(e),
+                                     TimePoint{t_ms},
                                      dns::ServerId{block.server[i]}, nominal);
-          entry.memo_nominal = nominal;
-          entry.memo_epoch = outcome.key.epoch;
-          entry.memo_position = outcome.lookup.pool_position;
-          entry.memo_valid = outcome.lookup.is_valid_domain;
+          memo.nominal = nominal;
+          memo.epoch = outcome.key.epoch;
+          memo.position = outcome.lookup.pool_position;
+          memo.valid = outcome.lookup.is_valid_domain;
         }
-        if (entry.memo_epoch < open_floor) {
+        if (memo.epoch < open_floor) {
           ++late;
         } else {
           ++matched;
           append_matched(
               *bucket_for(detect::StreamKey{dns::ServerId{block.server[i]},
-                                            entry.memo_epoch}),
-              entry.memo_epoch,
-              detect::MatchedLookup{TimePoint{t_ms}, entry.memo_position,
-                                    entry.memo_valid});
+                                            memo.epoch}),
+              memo.epoch,
+              detect::MatchedLookup{TimePoint{t_ms}, memo.position,
+                                    memo.valid});
           ++resident;
         }
       } else {
@@ -380,8 +432,8 @@ void StreamEngine::close_next_epoch() {
   // code batch analyze runs per prepared epoch (worker sharding, shared
   // per-epoch EstimationContext, canonical bucket sort), which is what keeps
   // streaming closes bit-identical to the batch pipeline.
-  const estimators::Estimator& estimator = meter_.active_estimator();
-  closed_.push_back(meter_.estimate_epoch_row(
+  const estimators::Estimator& estimator = meter_->active_estimator();
+  closed_.push_back(meter_->estimate_epoch_row(
       epoch, std::move(buckets), std::move(compact_cells), &workers_,
       config_.meter.trace, "stream.close.server"));
 
@@ -424,7 +476,7 @@ void StreamEngine::close_next_epoch() {
     obs::LandscapeEpochRecord row;
     row.epoch = epoch;
     row.family = config_.meter.dga.name;
-    row.estimator = std::string(meter_.active_estimator().name());
+    row.estimator = std::string(meter_->active_estimator().name());
     row.servers.reserve(cells.size());
     for (const Cell& cell : cells) {
       obs::LandscapeCell snapshot_cell;
@@ -473,7 +525,7 @@ core::LandscapeReport StreamEngine::finish() {
   // window aggregation — the same code path, in the same epoch order, as
   // batch analyze, hence bit-identical totals.
   core::LandscapeReport report;
-  report.estimator_name = std::string(meter_.active_estimator().name());
+  report.estimator_name = std::string(meter_->active_estimator().name());
   report.servers.reserve(config_.server_count);
   std::vector<Cell> column(static_cast<std::size_t>(config_.epoch_count));
   for (std::uint32_t s = 0; s < config_.server_count; ++s) {
@@ -800,7 +852,7 @@ void StreamEngine::restore(const json::Value& checkpoint) {
           std::make_unique<estimators::CompactCell>(
               estimators::CompactCell::parse(*compact));
       if (!(cell->spec() ==
-            meter_.compact_spec_for_epoch(epoch, config_.compact))) {
+            meter_->compact_spec_for_epoch(epoch, config_.compact))) {
         throw DataError(
             "StreamEngine::restore: compact cell spec disagrees with the "
             "engine's configuration");

@@ -135,7 +135,17 @@ class StreamEngine {
  public:
   using EpochCallback = std::function<void(const EpochReport&)>;
 
+  /// Builds and prepares its own meter over the configured horizon.
   explicit StreamEngine(StreamEngineConfig config);
+
+  /// Borrows `meter`, read-only, instead of building one — how the cluster
+  /// runtime's shards share one prepared pool model, window set and matcher
+  /// index. `meter` must have been built from `config.meter` (the
+  /// checkpointed fingerprint fields must agree) and have prepared every
+  /// epoch of the horizon; ConfigError otherwise. Close-time estimation only
+  /// reads the meter, so any number of engines may share one across threads.
+  StreamEngine(StreamEngineConfig config,
+               std::shared_ptr<const core::BotMeter> meter);
 
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
@@ -152,17 +162,26 @@ class StreamEngine {
   /// Zero-copy batched ingest of one columnar block (a decoded
   /// trace::BlockReader frame or a VantagePoint::drain_block batch).
   /// `domains` is the producer's full accumulated string table, which the
-  /// block's `domain` ids index. Pool membership is resolved once per
-  /// newly-seen interned id and cached for the engine's lifetime, so the
-  /// per-tuple path does no hashing and no allocation. Semantics — matching
-  /// attribution, watermark advance, epoch closes, lateness drops, counters
-  /// — are tuple-for-tuple identical to ingest() on the equivalent stream.
+  /// block's `domain` ids index. The table's new tail is resolved to matcher
+  /// entry ids once (one hash per distinct domain per engine, ever); the
+  /// block then runs the ingest_resolved loop, so the per-tuple path does no
+  /// hashing and no allocation. Semantics — matching attribution, watermark
+  /// advance, epoch closes, lateness drops, counters — are tuple-for-tuple
+  /// identical to ingest() on the equivalent stream.
   ///
   /// All blocks fed to one engine must share one interning lineage (one
   /// reader / one vantage point): the table may only grow between calls,
-  /// and ids must keep their meaning. A shrinking table throws ConfigError.
+  /// and ids must keep their meaning. A shrinking table throws ConfigError;
+  /// an id outside the table throws DataError before any tuple is ingested.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
+
+  /// Columnar ingest of tuples whose domains the producer already resolved
+  /// against meter().matcher(): `block.domain[i]` is tuple i's
+  /// Resolved::entry() (DomainMatcher::kNoEntry when no window holds it),
+  /// not a table id. Same semantics as ingest_block; an id at or past the
+  /// matcher's entry_count() throws DataError before any tuple is ingested.
+  void ingest_resolved(const dns::LookupColumns& block);
 
   /// Convenience for producers whose table is owned strings (a
   /// VantagePoint's intern table); rebuilds a view table per call — O(table
@@ -217,7 +236,7 @@ class StreamEngine {
   [[nodiscard]] std::span<const double> close_latencies_ms() const {
     return close_latencies_ms_;
   }
-  [[nodiscard]] const core::BotMeter& meter() const { return meter_; }
+  [[nodiscard]] const core::BotMeter& meter() const { return *meter_; }
   [[nodiscard]] const StreamEngineConfig& config() const { return config_; }
   /// Closed per-epoch cell rows so far, [epoch index][server] — the final
   /// per-cell estimates a cluster merger scatters into the global grid.
@@ -258,6 +277,12 @@ class StreamEngine {
   };
 
   void ingest_matched(const detect::DomainMatcher::MatchOutcome& outcome);
+  /// The finished/ragged-columns checks both block paths open with.
+  void check_block(const dns::LookupColumns& block) const;
+  /// The block loop behind ingest_block and ingest_resolved: `entry_of(i)`
+  /// is tuple i's matcher entry id, already validated.
+  template <typename EntryOf>
+  void ingest_entries(const dns::LookupColumns& block, EntryOf entry_of);
   /// Flush counter deltas accumulated since the previous flush into the
   /// registry, so `stream.ingested`/`stream.matched`/... advance at every
   /// epoch close (live rate gauges need moving counters) while the final
@@ -278,7 +303,7 @@ class StreamEngine {
   [[nodiscard]] TimePoint epoch_close_boundary(std::int64_t epoch) const;
 
   StreamEngineConfig config_;
-  core::BotMeter meter_;
+  std::shared_ptr<const core::BotMeter> meter_;
   WorkerPool workers_;
   EpochCallback on_close_;
 
@@ -292,27 +317,25 @@ class StreamEngine {
   /// row is nulled there). Lazily sized; derived state, never checkpointed.
   std::vector<OpenBucket*> bucket_cache_;
 
-  /// Per-interned-domain-id cache entry of the block path: pool membership,
-  /// resolved once per id, plus a one-slot memo of the last attribution.
+  /// Per-matcher-entry one-slot memo of the block path's last attribution.
   /// The matcher's (epoch, pool_position, is_valid) answer depends only on
   /// (domain, nominal epoch), and lookup trains repeat a domain many times
   /// within one epoch, so the memo turns most tuples into a single indexed
   /// load with no occurrence scan.
-  struct BlockDomain {
-    detect::DomainMatcher::Resolved resolved;
-    std::int64_t memo_nominal = std::numeric_limits<std::int64_t>::min();
-    std::int64_t memo_epoch = 0;
-    std::uint32_t memo_position = 0;
-    bool memo_valid = false;
+  struct EntryMemo {
+    std::int64_t nominal = std::numeric_limits<std::int64_t>::min();
+    std::int64_t epoch = 0;
+    std::uint32_t position = 0;
+    bool valid = false;
   };
 
-  /// Indexed by the producer's table ids. Derived state (a pure function of
-  /// the matcher and the table) — never checkpointed, rebuilt as blocks
-  /// arrive.
-  std::vector<BlockDomain> resolved_;
+  /// Indexed by Resolved::entry(), sized to the matcher on the first block.
+  /// Derived state (a pure function of the matcher) — never checkpointed.
+  std::vector<EntryMemo> memo_;
 
-  /// Reused landing strip for resolve_many over the table's new tail.
-  std::vector<detect::DomainMatcher::Resolved> resolve_scratch_;
+  /// ingest_block's producer table id -> matcher entry, grown as the table
+  /// grows. Derived state, never checkpointed.
+  std::vector<detect::DomainMatcher::Resolved> remap_;
 
   /// Reused view table for the owned-strings ingest_block overload.
   std::vector<std::string_view> table_view_scratch_;

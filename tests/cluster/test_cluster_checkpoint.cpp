@@ -140,5 +140,72 @@ TEST(ClusterCheckpointTest, RestoreRejectsMismatchedEnvelopes) {
   }
 }
 
+TEST(ClusterCheckpointTest, RejectedRestoreLeavesTheRuntimeUntouched) {
+  const auto stream = simulate_stream(84);
+  const std::size_t split = stream.size() / 2;
+  const auto head = std::span<const dns::ForwardedLookup>(stream).first(split);
+  const auto tail = std::span<const dns::ForwardedLookup>(stream).subspan(split);
+
+  std::string want;
+  {
+    ClusterRuntime reference(cluster_config(2));
+    reference.ingest(std::span<const dns::ForwardedLookup>(stream));
+    want = landscape_bytes(reference.finish());
+  }
+  ClusterRuntime source(cluster_config(2));
+  source.ingest(head);
+  const json::Value checkpoint = source.checkpoint();
+  ASSERT_GT(checkpoint.at("shards").as_array()[0].at("ingested").as_int(), 0);
+
+  ClusterRuntime runtime(cluster_config(2));
+  {
+    // Shard 0's envelope is fine; shard 1's schema is not.
+    json::Object broken = checkpoint.as_object();
+    json::Array shards = broken["shards"].as_array();
+    json::Object bad_shard = shards[1].as_object();
+    bad_shard["schema"] = json::Value(std::string("botmeter.other.v9"));
+    shards[1] = json::Value(std::move(bad_shard));
+    broken["shards"] = json::Value(std::move(shards));
+    EXPECT_THROW(runtime.restore(json::Value(std::move(broken))), DataError);
+    EXPECT_EQ(runtime.shard_stats(0).ingested, 0u);
+    EXPECT_EQ(runtime.merge_frontier(), 0);
+  }
+  {
+    // A frontier the shard states do not imply, found after every shard
+    // envelope loaded.
+    json::Object broken = checkpoint.as_object();
+    broken["merge_frontier"] = json::Value(static_cast<double>(kEpochs));
+    EXPECT_THROW(runtime.restore(json::Value(std::move(broken))), DataError);
+    EXPECT_EQ(runtime.shard_stats(0).ingested, 0u);
+    EXPECT_EQ(runtime.shard_stats(1).ingested, 0u);
+  }
+
+  // The same runtime still takes the good checkpoint and finishes exactly
+  // as the uninterrupted run.
+  runtime.restore(checkpoint);
+  EXPECT_EQ(runtime.shard_stats(0).ingested,
+            static_cast<std::uint64_t>(
+                checkpoint.at("shards").as_array()[0].at("ingested").as_int()));
+  runtime.ingest(tail);
+  EXPECT_EQ(landscape_bytes(runtime.finish()), want);
+}
+
+TEST(ClusterCheckpointTest, TamperedRouterCountsAreDataErrors) {
+  ClusterRuntime source(cluster_config(2));
+  const json::Value checkpoint = source.checkpoint();
+  for (const char* key : {"server_count", "shard_count"}) {
+    for (const double bad : {-1.0, 2.7e11, 0.0}) {
+      SCOPED_TRACE(std::string(key) + "=" + std::to_string(bad));
+      json::Object broken = checkpoint.as_object();
+      json::Object router = broken["router"].as_object();
+      router[key] = json::Value(bad);
+      broken["router"] = json::Value(std::move(router));
+      ClusterRuntime runtime(cluster_config(2));
+      EXPECT_THROW(runtime.restore(json::Value(std::move(broken))), DataError);
+      runtime.restore(checkpoint);  // untouched by the rejected attempt
+    }
+  }
+}
+
 }  // namespace
 }  // namespace botmeter::cluster

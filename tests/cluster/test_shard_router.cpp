@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cluster/shard_router.hpp"
@@ -111,6 +112,31 @@ TEST(ShardRouterTest, FromJsonRejectsCorruptDocuments) {
     EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
                  DataError);
   }
+}
+
+TEST(ShardRouterTest, FromJsonRejectsBadRangeCountsBeforeSizingAnything) {
+  // -1 once threw length_error, 2.7e11 bad_alloc after asking for ~1 TB,
+  // and 0 a ConfigError; all three are corrupt data.
+  const ShardRouter router = ShardRouter::by_range(8, 2);
+  for (const char* key : {"server_count", "shard_count"}) {
+    for (const double bad : {-1.0, 2.7e11, 0.0}) {
+      SCOPED_TRACE(std::string(key) + "=" + std::to_string(bad));
+      json::Object broken = router.to_json().as_object();
+      broken[key] = json::Value(bad);
+      try {
+        (void)ShardRouter::from_json(json::Value(std::move(broken)));
+        ADD_FAILURE() << "accepted a corrupt count";
+      } catch (const DataError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // More shards than servers would leave a shard empty.
+  json::Object broken = router.to_json().as_object();
+  broken["shard_count"] = json::Value(9.0);
+  EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
+               DataError);
 }
 
 }  // namespace
