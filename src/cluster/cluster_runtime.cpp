@@ -481,6 +481,22 @@ void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
   scatter_block(block, domains, remap_, std::nullopt);
 }
 
+void ClusterRuntime::ingest_resolved(const dns::LookupColumns& block) {
+  if (block.server.size() != block.size() ||
+      block.domain.size() != block.size()) {
+    throw DataError("ClusterRuntime::ingest_resolved: ragged columns");
+  }
+  const std::uint32_t entries = meter_->matcher().entry_count();
+  for (const std::uint32_t id : block.domain) {
+    if (id >= entries && id != detect::DomainMatcher::kNoEntry) {
+      throw DataError("ClusterRuntime::ingest_resolved: entry id " +
+                      std::to_string(id) + " outside the matcher");
+    }
+  }
+  scatter_entries(block, std::nullopt,
+                  [&block](std::size_t i) { return block.domain[i]; });
+}
+
 void ClusterRuntime::scatter_block(
     const dns::LookupColumns& block, std::span<const std::string_view> domains,
     std::vector<detect::DomainMatcher::Resolved>& remap,
@@ -492,17 +508,26 @@ void ClusterRuntime::scatter_block(
     throw DataError(std::string(who) + ": ragged columns");
   }
   meter_->matcher().resolve_tail(domains, remap);
-  const std::size_t n = block.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t server = block.server[i];
-    const std::size_t shard = route(server, owner);
-    const std::uint32_t pid = block.domain[i];
+  for (const std::uint32_t pid : block.domain) {
     if (pid >= domains.size()) {
       throw DataError(std::string(who) + ": domain id " + std::to_string(pid) +
                       " outside the table");
     }
-    scatter_tuple(shard, block.t_ms[i], config_.router.local_index(server),
-                  remap[pid].entry());
+  }
+  scatter_entries(block, owner, [&block, &remap](std::size_t i) {
+    return remap[block.domain[i]].entry();
+  });
+}
+
+template <typename EntryOf>
+void ClusterRuntime::scatter_entries(const dns::LookupColumns& block,
+                                     std::optional<std::size_t> owner,
+                                     EntryOf entry_of) {
+  const std::size_t n = block.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t server = block.server[i];
+    scatter_tuple(route(server, owner), block.t_ms[i],
+                  config_.router.local_index(server), entry_of(i));
   }
 }
 

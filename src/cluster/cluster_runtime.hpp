@@ -238,6 +238,14 @@ class ClusterRuntime {
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
 
+  /// Columnar ingest of tuples whose domains the producer already resolved
+  /// against meter().matcher(): `block.domain[i]` is tuple i's
+  /// Resolved::entry() (DomainMatcher::kNoEntry when no window holds it),
+  /// the server column global ids. The scatter loop of ingest_block without
+  /// its table remap; an id at or past the matcher's entry_count() throws
+  /// DataError before any tuple is scattered.
+  void ingest_resolved(const dns::LookupColumns& block);
+
   /// Advance every shard's watermark (a quiet border still makes time pass).
   /// Flushes pending batches first so closes happen in ingest order.
   void advance(TimePoint watermark);
@@ -405,6 +413,11 @@ class ClusterRuntime {
                      std::span<const std::string_view> domains,
                      std::vector<detect::DomainMatcher::Resolved>& remap,
                      std::optional<std::size_t> owner);
+  /// Route and scatter every tuple of a validated block; `entry_of(i)` is
+  /// tuple i's matcher entry id.
+  template <typename EntryOf>
+  void scatter_entries(const dns::LookupColumns& block,
+                       std::optional<std::size_t> owner, EntryOf entry_of);
   void feed_advance(std::size_t shard, TimePoint watermark);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);

@@ -209,6 +209,23 @@ std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
 
 LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
                                   std::size_t server_count) const {
+  detect::MatchStats match_stats;
+  detect::MatchedStreams matched;
+  {
+    // Matching shards over its own pool; analyze_matched builds one for the
+    // epoch rows. kAllow: determinism tests pin specific counts and the
+    // output never depends on the count, so honoring it exactly is safe.
+    WorkerPool workers(config_.analyze_threads,
+                       WorkerPool::Oversubscribe::kAllow);
+    obs::ScopedTimer match_timer(config_.trace, "analyze.match");
+    matched = matcher_->match(stream, &match_stats, &workers);
+  }
+  return analyze_matched(std::move(matched), match_stats, server_count);
+}
+
+LandscapeReport BotMeter::analyze_matched(detect::MatchedStreams matched,
+                                          const detect::MatchStats& match_stats,
+                                          std::size_t server_count) const {
   if (prepared_epochs_.empty()) {
     throw ConfigError("BotMeter::analyze: no epochs prepared");
   }
@@ -219,17 +236,11 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
   obs::MetricsRegistry* const metrics = config_.metrics;
   obs::TraceSession* const trace = config_.trace;
 
-  // One pool for the whole call: matcher sharding and every epoch row. With
-  // analyze_threads == 1 no threads are spawned and everything below runs
-  // as a plain loop. kAllow: determinism tests pin specific counts and the
-  // output never depends on the count, so honoring it exactly is safe.
+  // One pool for every epoch row. With analyze_threads == 1 no threads are
+  // spawned and everything below runs as a plain loop.
   WorkerPool workers(config_.analyze_threads,
                      WorkerPool::Oversubscribe::kAllow);
 
-  obs::ScopedTimer match_timer(trace, "analyze.match");
-  detect::MatchStats match_stats;  // tallied always; flushed when a registry is attached
-  detect::MatchedStreams matched = matcher_->match(stream, &match_stats, &workers);
-  match_timer.stop();
   if (metrics != nullptr) {
     metrics->counter("analyze.matcher.stream").add(match_stats.stream_size);
     metrics->counter("analyze.matcher.matched").add(match_stats.matched);

@@ -138,9 +138,21 @@ class BotMeter {
 
   /// Chart the landscape from a vantage-point stream. `server_count` fixes
   /// the report size so that servers with zero matched lookups still appear
-  /// (population 0 is a statement, not an omission).
+  /// (population 0 is a statement, not an omission). This is
+  /// matcher().match() (sharded over analyze_threads) followed by
+  /// analyze_matched().
   [[nodiscard]] LandscapeReport analyze(
       std::span<const dns::ForwardedLookup> stream,
+      std::size_t server_count) const;
+
+  /// The estimation half of analyze(): chart the landscape from streams
+  /// already matched against matcher() — by match(), or block by block
+  /// through DomainMatcher::match_block as a trace decodes — with `stats`
+  /// the tallies of that whole pass. Streams may be in any order. Publishes
+  /// the analyze.matcher.* tallies, estimates every (server, epoch) cell
+  /// and records the history rows, exactly as analyze() does.
+  [[nodiscard]] LandscapeReport analyze_matched(
+      detect::MatchedStreams matched, const detect::MatchStats& stats,
       std::size_t server_count) const;
 
   /// Bundle the matched lookups of one (server, epoch) cell into the

@@ -191,6 +191,45 @@ void DomainMatcher::match_range(std::span<const dns::ForwardedLookup> stream,
   }
 }
 
+void DomainMatcher::match_block(const dns::LookupColumns& block,
+                                MatchedStreams& out, MatchStats& stats) const {
+  if (block.server.size() != block.size() ||
+      block.domain.size() != block.size()) {
+    throw DataError("DomainMatcher::match_block: ragged columns");
+  }
+  for (const std::uint32_t e : block.domain) {
+    if (e >= entry_count() && e != kNoEntry) {
+      throw DataError("DomainMatcher::match_block: entry id " +
+                      std::to_string(e) + " outside the index");
+    }
+  }
+  // A run of matched tuples in one (server, epoch) stream, as a lookup
+  // train or a per-server feed delivers them, skips the map walk.
+  StreamKey last_key{dns::ServerId{0}, 0};
+  std::vector<MatchedLookup>* last = nullptr;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    ++stats.stream_size;
+    const Resolved resolved(block.domain[i]);
+    if (!resolved) {
+      ++stats.unmatched;
+      continue;
+    }
+    const MatchOutcome outcome = match_resolved(
+        resolved, TimePoint{block.t_ms[i]}, dns::ServerId{block.server[i]});
+    ++stats.matched;
+    if (outcome.lookup.is_valid_domain) {
+      ++stats.valid_domain;
+    } else {
+      ++stats.nxd;
+    }
+    if (last == nullptr || outcome.key != last_key) {
+      last_key = outcome.key;
+      last = &out[last_key];
+    }
+    last->push_back(outcome.lookup);
+  }
+}
+
 MatchedStreams DomainMatcher::match(
     std::span<const dns::ForwardedLookup> stream, MatchStats* stats,
     WorkerPool* workers) const {

@@ -179,6 +179,16 @@ class DomainMatcher {
                                             dns::ServerId forwarder,
                                             std::int64_t nominal) const;
 
+  /// Bucket one block of pre-resolved tuples into `out` and add its tallies
+  /// to `stats`, attributing each exactly as match() would the equivalent
+  /// lookup — the batch pipeline's block path, fed as a trace decodes.
+  /// `block.domain[i]` is tuple i's Resolved::entry() (kNoEntry for
+  /// unmatched traffic); an id at or past entry_count() throws DataError
+  /// before any tuple is bucketed. Streams keep arrival order, so sort them
+  /// (BotMeter::estimate_epoch_row does) before reading them as match()'s.
+  void match_block(const dns::LookupColumns& block, MatchedStreams& out,
+                   MatchStats& stats) const;
+
   [[nodiscard]] Duration epoch_length() const { return epoch_length_; }
 
   /// Distinct registered domains: the bound on every Resolved::entry().

@@ -1,9 +1,9 @@
 // Binary columnar trace codec — schema `botmeter.trace_block.v1`.
 //
 // The text format of trace/io.hpp is the interchange codec: trivially
-// greppable, collector-friendly, and slow — at millions of users the parser,
-// the per-tuple std::string domain allocation, and the per-tuple matcher hash
-// dominate the whole pipeline. This codec is the hot-path representation:
+// greppable, collector-friendly, and slower — even decoded in place into
+// columns, every tuple is parsed and its domain hashed once per read buffer.
+// This codec is the hot-path representation:
 // fixed-capacity framed blocks holding column arrays of
 // (t_ms, server_id, domain_id) plus a per-file interned domain string table,
 // so a consumer touches three flat arrays per block and resolves each

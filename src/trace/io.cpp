@@ -1,8 +1,11 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <string_view>
 #include <type_traits>
 
@@ -75,21 +78,88 @@ void parse_int_field(std::string_view s, T& out, std::string_view what,
   }
 }
 
-/// Per-line front end shared by the readers: strip one trailing CR (CRLF
-/// traces), skip blank lines. Returns false when the line carries no record.
-bool normalize_line(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return !line.empty();
+/// One refill, straight from the stream buffer. istream::read reports
+/// nothing read when the buffer throws partway through a request, losing
+/// records that arrived intact before the failure, so this never asks for
+/// more than the buffer holds: an empty one is refilled with sgetc() first.
+/// A buffer that does not say what it holds (stdio-synced std::cin) is read
+/// in one request. A throwing buffer sets `bad` and reads as the end.
+std::size_t fill(std::streambuf& sb, char* dst, std::size_t room, bool& bad) {
+  try {
+    if (sb.in_avail() == 0 &&
+        std::streambuf::traits_type::eq_int_type(
+            sb.sgetc(), std::streambuf::traits_type::eof())) {
+      return 0;
+    }
+    const std::streamsize avail = sb.in_avail();
+    const auto want = static_cast<std::streamsize>(room);
+    const std::streamsize got =
+        sb.sgetn(dst, avail > 0 ? std::min(avail, want) : want);
+    return got > 0 ? static_cast<std::size_t>(got) : 0;
+  } catch (...) {
+    bad = true;
+    return 0;
+  }
 }
 
-/// A failed std::getline is either clean EOF (eofbit) or a mid-record I/O
-/// error (badbit — the stream lost data). The latter must never read as a
-/// shorter-but-valid trace: throw a located DataError instead.
-void check_read_stream(const std::istream& is, std::size_t line_no) {
-  if (is.bad()) {
+/// The line splitter behind every text reader. Reads `is` in
+/// kTextReadBuffer refills and calls `on_line(view, line_no)` for every
+/// non-blank line, with one trailing CR stripped (CRLF traces); the view
+/// points into the buffer. `chunk_end()` runs whenever the views handed out
+/// so far are about to die: before each refill, before a throw and at the
+/// end, so a reader may batch them until then. A mid-read I/O failure (a
+/// throwing stream buffer, or badbit) is never read as a shorter trace:
+/// the complete lines before it are delivered, the partial one is dropped,
+/// and a DataError names the last complete line.
+template <typename OnLine, typename OnChunkEnd>
+void scan_lines(std::istream& is, OnLine&& on_line, OnChunkEnd&& chunk_end) {
+  std::vector<char> buf(kTextReadBuffer);
+  std::size_t begin = 0;  // unconsumed bytes are [begin, end)
+  std::size_t end = 0;
+  std::size_t line_no = 0;
+  bool bad = is.bad();
+  bool at_end = !is;
+  const auto deliver = [&](std::string_view line) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) return;
+    try {
+      on_line(line, line_no);
+    } catch (...) {
+      chunk_end();
+      throw;
+    }
+  };
+  while (true) {
+    while (const void* nl = std::memchr(buf.data() + begin, '\n', end - begin)) {
+      const auto stop =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - buf.data());
+      ++line_no;
+      deliver(std::string_view(buf.data() + begin, stop - begin));
+      begin = stop + 1;
+    }
+    if (at_end) break;
+    chunk_end();
+    std::memmove(buf.data(), buf.data() + begin, end - begin);
+    end -= begin;
+    begin = 0;
+    if (end == buf.size()) buf.resize(2 * buf.size());  // one line fills it
+    const std::size_t got = fill(*is.rdbuf(), buf.data() + end,
+                                 buf.size() - end, bad);
+    end += got;
+    at_end = got == 0;
+  }
+  if (bad) {
+    chunk_end();
+    is.setstate(std::ios::badbit);
     throw DataError("trace read error after line " + std::to_string(line_no) +
                     ": stream I/O failure (not EOF) — trace is truncated");
   }
+  if (begin < end) {  // a last line with no newline
+    ++line_no;
+    deliver(std::string_view(buf.data() + begin, end - begin));
+  }
+  chunk_end();
+  is.setstate(std::ios::eofbit | std::ios::failbit);
 }
 
 /// write_* never observes individual insertions; a full disk or closed pipe
@@ -101,19 +171,6 @@ void check_write_stream(std::ostream& os, std::string_view what) {
     throw DataError("trace write failed (" + std::string(what) +
                     "): disk full or closed stream");
   }
-}
-
-dns::ForwardedLookup parse_observable_line(std::string_view line,
-                                           std::size_t line_no) {
-  std::string_view fields[3];
-  split_tabs(line, fields, line_no);
-  std::int64_t t_ms = 0;
-  std::uint32_t server = 0;
-  parse_int_field(fields[0], t_ms, "timestamp", line_no, line);
-  parse_int_field(fields[1], server, "server id", line_no, line);
-  if (fields[2].empty()) malformed(line_no, "empty domain", line);
-  return dns::ForwardedLookup{TimePoint{t_ms}, dns::ServerId{server},
-                              std::string(fields[2])};
 }
 
 }  // namespace
@@ -137,31 +194,30 @@ void write_observable(std::ostream& os,
 
 std::vector<botnet::RawRecord> read_raw(std::istream& is) {
   std::vector<botnet::RawRecord> records;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!normalize_line(line)) continue;
-    std::string_view fields[4];
-    split_tabs(line, fields, line_no);
-    std::int64_t t_ms = 0;
-    std::uint32_t client = 0;
-    parse_int_field(fields[0], t_ms, "timestamp", line_no, line);
-    parse_int_field(fields[1], client, "client id", line_no, line);
-    if (fields[2].empty()) malformed(line_no, "empty domain", line);
-    dns::Rcode rcode;
-    if (fields[3] == "A") {
-      rcode = dns::Rcode::kAddress;
-    } else if (fields[3] == "NX") {
-      rcode = dns::Rcode::kNxDomain;
-    } else {
-      malformed(line_no, "unknown rcode '" + std::string(fields[3]) + "'",
-                line);
-    }
-    records.push_back(botnet::RawRecord{TimePoint{t_ms}, dns::ClientId{client},
-                                        std::string(fields[2]), rcode});
-  }
-  check_read_stream(is, line_no);
+  scan_lines(
+      is,
+      [&records](std::string_view line, std::size_t line_no) {
+        std::string_view fields[4];
+        split_tabs(line, fields, line_no);
+        std::int64_t t_ms = 0;
+        std::uint32_t client = 0;
+        parse_int_field(fields[0], t_ms, "timestamp", line_no, line);
+        parse_int_field(fields[1], client, "client id", line_no, line);
+        if (fields[2].empty()) malformed(line_no, "empty domain", line);
+        dns::Rcode rcode;
+        if (fields[3] == "A") {
+          rcode = dns::Rcode::kAddress;
+        } else if (fields[3] == "NX") {
+          rcode = dns::Rcode::kNxDomain;
+        } else {
+          malformed(line_no, "unknown rcode '" + std::string(fields[3]) + "'",
+                    line);
+        }
+        records.push_back(botnet::RawRecord{TimePoint{t_ms},
+                                            dns::ClientId{client},
+                                            std::string(fields[2]), rcode});
+      },
+      [] {});
   return records;
 }
 
@@ -173,20 +229,47 @@ std::vector<dns::ForwardedLookup> read_observable(std::istream& is) {
   return lookups;
 }
 
+std::size_t for_each_text_block(
+    std::istream& is, const std::function<void(const TextColumns&)>& sink) {
+  std::vector<std::int64_t> t_ms;
+  std::vector<std::uint32_t> server;
+  std::vector<std::string_view> domain;
+  std::size_t delivered = 0;
+  scan_lines(
+      is,
+      [&](std::string_view line, std::size_t line_no) {
+        std::string_view fields[3];
+        split_tabs(line, fields, line_no);
+        std::int64_t t = 0;
+        std::uint32_t s = 0;
+        parse_int_field(fields[0], t, "timestamp", line_no, line);
+        parse_int_field(fields[1], s, "server id", line_no, line);
+        if (fields[2].empty()) malformed(line_no, "empty domain", line);
+        t_ms.push_back(t);
+        server.push_back(s);
+        domain.push_back(fields[2]);
+      },
+      [&] {
+        if (t_ms.empty()) return;
+        sink(TextColumns{t_ms, server, domain});
+        delivered += t_ms.size();
+        t_ms.clear();
+        server.clear();
+        domain.clear();
+      });
+  return delivered;
+}
+
 std::size_t for_each_observable(
     std::istream& is,
     const std::function<void(const dns::ForwardedLookup&)>& sink) {
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t delivered = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!normalize_line(line)) continue;
-    sink(parse_observable_line(line, line_no));
-    ++delivered;
-  }
-  check_read_stream(is, line_no);
-  return delivered;
+  return for_each_text_block(is, [&sink](const TextColumns& block) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      sink(dns::ForwardedLookup{TimePoint{block.t_ms[i]},
+                                dns::ServerId{block.server[i]},
+                                std::string(block.domain[i])});
+    }
+  });
 }
 
 }  // namespace botmeter::trace

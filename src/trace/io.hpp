@@ -8,10 +8,12 @@
 // BotMeter.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "botnet/simulator.hpp"
@@ -36,11 +38,32 @@ void write_observable(std::ostream& os,
 [[nodiscard]] std::vector<botnet::RawRecord> read_raw(std::istream& is);
 [[nodiscard]] std::vector<dns::ForwardedLookup> read_observable(std::istream& is);
 
-/// Streaming variant of read_observable: invoke `sink` on each parsed lookup
-/// without materialising the whole trace — the bounded-memory path
-/// botmeter_stream uses to replay arbitrarily long border feeds. Same
-/// validation and error reporting as read_observable. Returns the number of
-/// lookups delivered.
+/// Bytes the text readers pull from the stream per refill. Lines are parsed
+/// in place inside one buffer of this size; only a single line longer than
+/// the buffer grows it (to the next power of two that holds the line).
+inline constexpr std::size_t kTextReadBuffer = std::size_t{256} << 10;
+
+/// Columnar view of the observable records parsed from one buffer refill.
+/// `domain` views point into the decoder's buffer: all three spans are only
+/// valid for the duration of the sink call.
+struct TextColumns {
+  std::span<const std::int64_t> t_ms;
+  std::span<const std::uint32_t> server;
+  std::span<const std::string_view> domain;
+
+  [[nodiscard]] std::size_t size() const { return t_ms.size(); }
+};
+
+/// The observable text decoder: hand `sink` the records of each buffer
+/// refill as columns, in trace order, with no per-record allocation — its
+/// memory is O(kTextReadBuffer), whatever the trace's length or number of
+/// distinct domains. Same validation and error reporting as
+/// read_observable; before any DataError, every record of an earlier line
+/// has been delivered. Returns the number of records delivered.
+std::size_t for_each_text_block(
+    std::istream& is, const std::function<void(const TextColumns&)>& sink);
+
+/// for_each_text_block, one owned lookup at a time.
 std::size_t for_each_observable(
     std::istream& is, const std::function<void(const dns::ForwardedLookup&)>& sink);
 

@@ -36,14 +36,16 @@ SplitCounts split_observable_text(std::istream& is,
   if (outs.empty()) throw ConfigError("split_observable_text: no outputs");
   SplitCounts counts;
   counts.tuples.assign(outs.size(), 0);
-  for_each_observable(is, [&](const dns::ForwardedLookup& lookup) {
-    const std::size_t out =
-        route_checked(route, lookup.forwarder.value(), outs.size());
-    // Same line format as write_observable, so each output equals
-    // write_observable of the routed subset byte for byte.
-    *outs[out] << lookup.timestamp.millis() << '\t'
-               << lookup.forwarder.value() << '\t' << lookup.domain << '\n';
-    ++counts.tuples[out];
+  for_each_text_block(is, [&](const TextColumns& text) {
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      const std::size_t out =
+          route_checked(route, text.server[i], outs.size());
+      // Same line format as write_observable, so each output equals
+      // write_observable of the routed subset byte for byte.
+      *outs[out] << text.t_ms[i] << '\t' << text.server[i] << '\t'
+                 << text.domain[i] << '\n';
+      ++counts.tuples[out];
+    }
   });
   for (std::size_t i = 0; i < outs.size(); ++i) {
     outs[i]->flush();

@@ -22,6 +22,7 @@
 #include "obs/landscape_history.hpp"
 #include "stream/stream_engine.hpp"
 #include "trace/block.hpp"
+#include "trace/io.hpp"
 
 namespace botmeter::cluster {
 namespace {
@@ -147,6 +148,43 @@ TEST(ClusterRuntimeTest, BinaryBlockPathIsByteIdenticalToSingleEngine) {
         });
     expect_cluster_matches(ref, runtime, history);
   }
+}
+
+TEST(ClusterRuntimeTest, ResolvedTextBlockPathIsByteIdenticalToSingleEngine) {
+  // The tools' text path: decode buffer by buffer, resolve each block once
+  // against the shared meter, scatter the entry ids.
+  const auto stream = simulate_stream(74);
+  const Reference ref = single_engine_reference(stream);
+  std::ostringstream text_os;
+  trace::write_observable(text_os, stream);
+
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::LandscapeHistory history;
+    ClusterConfig config = cluster_config(shards, 1);
+    config.history = &history;
+    ClusterRuntime runtime(std::move(config));
+    const detect::DomainMatcher& matcher = runtime.meter().matcher();
+    std::istringstream text_is(text_os.str());
+    std::vector<detect::DomainMatcher::Resolved> resolved;
+    std::vector<std::uint32_t> entries;
+    trace::for_each_text_block(text_is, [&](const trace::TextColumns& text) {
+      resolved.resize(text.size());
+      matcher.resolve_many(text.domain, resolved);
+      entries.resize(text.size());
+      for (std::size_t i = 0; i < text.size(); ++i) {
+        entries[i] = resolved[i].entry();
+      }
+      runtime.ingest_resolved({text.t_ms, text.server, entries});
+    });
+    expect_cluster_matches(ref, runtime, history);
+  }
+
+  ClusterRuntime runtime(cluster_config(2, 1));
+  const std::int64_t t[] = {0};
+  const std::uint32_t server[] = {0};
+  const std::uint32_t past[] = {runtime.meter().matcher().entry_count()};
+  EXPECT_THROW(runtime.ingest_resolved({t, server, past}), DataError);
 }
 
 TEST(ClusterRuntimeTest, ThreadCountsAndBatchingNeverChangeBits) {

@@ -8,10 +8,13 @@
 // invariance and the parallel matcher merge order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "botnet/simulator.hpp"
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "core/botmeter.hpp"
@@ -252,6 +255,77 @@ TEST(AnalyzeParallelTest, MatchStatsTalliedWithoutRegistry) {
   EXPECT_EQ(stats.stream_size, stream.size());
   EXPECT_EQ(stats.matched + stats.unmatched, stats.stream_size);
   EXPECT_EQ(stats.valid_domain + stats.nxd, stats.matched);
+}
+
+TEST(AnalyzeParallelTest, BlockMatchedLandscapeEqualsAnalyze) {
+  // The tools' batch path: resolve each block of columns, bucket it through
+  // match_block as it arrives, then estimate. Same landscape bytes and the
+  // same tallies as analyze() over the whole stream, with benign traffic
+  // mixed in and on a sliding-window family whose domains span epochs.
+  std::vector<Scenario> scenarios = flat_scenarios();
+  scenarios.push_back({dga::family_config("Ranbyus"), 16, 3, 40, 3, 23});
+  for (const Scenario& s : scenarios) {
+    SCOPED_TRACE(s.dga.name);
+    std::vector<dns::ForwardedLookup> stream = simulate_stream(s);
+    for (std::size_t i = 0; i < stream.size(); i += 3) {
+      stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(i),
+                    {stream[i].timestamp, stream[i].forwarder,
+                     "benign" + std::to_string(i) + ".example"});
+    }
+    BotMeterConfig config;
+    config.dga = s.dga;
+    config.detection_miss_rate = s.miss_rate;
+    BotMeter meter(config);
+    meter.prepare_epochs(s.first_epoch, s.epochs);
+    const detect::DomainMatcher& matcher = meter.matcher();
+
+    detect::MatchStats whole_stats;
+    (void)matcher.match(stream, &whole_stats);
+    detect::MatchStats stats;
+    detect::MatchedStreams matched;
+    constexpr std::size_t kBlock = 1000;
+    for (std::size_t lo = 0; lo < stream.size(); lo += kBlock) {
+      const std::size_t n = std::min(kBlock, stream.size() - lo);
+      std::vector<std::int64_t> t_ms(n);
+      std::vector<std::uint32_t> server(n), entry(n);
+      std::vector<std::string_view> domain(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        t_ms[i] = stream[lo + i].timestamp.millis();
+        server[i] = stream[lo + i].forwarder.value();
+        domain[i] = stream[lo + i].domain;
+      }
+      std::vector<detect::DomainMatcher::Resolved> resolved(n);
+      matcher.resolve_many(domain, resolved);
+      for (std::size_t i = 0; i < n; ++i) entry[i] = resolved[i].entry();
+      matcher.match_block({t_ms, server, entry}, matched, stats);
+    }
+    EXPECT_EQ(stats, whole_stats);
+    EXPECT_GT(stats.matched, 0u);
+    EXPECT_GT(stats.unmatched, 0u);
+    EXPECT_EQ(json::write(landscape_to_json(
+                  meter.analyze_matched(std::move(matched), stats, s.servers))),
+              json::write(landscape_to_json(meter.analyze(stream, s.servers))));
+  }
+}
+
+TEST(AnalyzeParallelTest, MatchBlockRejectsIdsOutsideTheIndex) {
+  BotMeterConfig config;
+  config.dga = dga::newgoz_config();
+  BotMeter meter(config);
+  meter.prepare_epochs(0, 1);
+  const std::int64_t t[] = {0, 1};
+  const std::uint32_t server[] = {0, 0};
+  const std::uint32_t entry[] = {detect::DomainMatcher::kNoEntry,
+                                 meter.matcher().entry_count()};
+  detect::MatchedStreams matched;
+  detect::MatchStats stats;
+  EXPECT_THROW(meter.matcher().match_block({t, server, entry}, matched, stats),
+               DataError);
+  EXPECT_EQ(stats.stream_size, 0u);  // rejected before any tuple
+  const std::uint32_t short_server[] = {0};
+  EXPECT_THROW(
+      meter.matcher().match_block({t, short_server, entry}, matched, stats),
+      DataError);
 }
 
 }  // namespace

@@ -99,11 +99,11 @@ TEST(EstimationContextTest, ConcurrentMemoizationIsConsistent) {
   // Many threads racing on the same key: one miss, everyone reads the same
   // value, and hits + misses account for every call.
   EstimationContext context;
-  constexpr int kThreads = 8;
+  constexpr std::size_t kThreads = 8;
   constexpr int kCallsPerThread = 50;
   std::vector<std::thread> threads;
   std::vector<double> results(kThreads, 0.0);
-  for (int t = 0; t < kThreads; ++t) {
+  for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&context, &results, t] {
       double last = 0.0;
       for (int i = 0; i < kCallsPerThread; ++i) {

@@ -12,7 +12,10 @@ dga::EpochPool hand_pool() {
   dga::EpochPool pool;
   pool.epoch = 0;
   for (std::uint32_t i = 0; i < 20; ++i) {
-    pool.domains.push_back("d" + std::to_string(i) + ".com");
+    std::string domain = "d";
+    domain += std::to_string(i);
+    domain += ".com";
+    pool.domains.push_back(std::move(domain));
   }
   pool.valid_positions = {5, 12};
   return pool;

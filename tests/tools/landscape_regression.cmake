@@ -4,11 +4,13 @@
 #   cmake -DSIMULATE=... -DCONVERT=... -DANALYZE=... -DSTREAM=...
 #         -DCLUSTER=... -DWORK_DIR=... -P landscape_regression.cmake
 #
-# One small simulated newGoZ trace, written in both codecs, is charted by
-# botmeter_analyze, botmeter_stream and botmeter_cluster (1 and 3 shards).
-# Every --history-out series must be byte-equal, stream and cluster stdout
-# must be byte-equal (also on a compact-state run that spills and saturates
-# its sketches), and every tool's tallies must add up.
+# Three simulated traces, each written in both codecs, are charted by
+# botmeter_analyze, botmeter_stream and botmeter_cluster (1 and 3 shards): a
+# small newGoZ trace; the same trace with a benign twin after every line
+# (several text read buffers, half of it unmatched); and a sliding-window
+# Ranbyus trace. Every --history-out series must be byte-equal, stream and
+# cluster stdout must be byte-equal (also on a compact-state run that spills
+# and saturates its sketches), and every tool's tallies must add up.
 foreach(var SIMULATE CONVERT ANALYZE STREAM CLUSTER WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "landscape_regression: -D${var}=... is required")
@@ -69,43 +71,85 @@ function(expect_tally name tuples matched)
   endif()
 endfunction()
 
+# chart(<name> <meter flags...>): chart <name>.tsv and its binary conversion
+# <name>.btb with every tool. Every history must equal analyze's on the text
+# trace, stream and cluster stdout must be byte-equal, and every tally must
+# add up to analyze's count. Sets `tuples` and `matched` in the caller.
+function(chart name)
+  run(convert.${name} "${CONVERT}" --to binary --in ${name}.tsv
+      --out ${name}.btb)
+  foreach(codec tsv btb)
+    set(input ${ARGN} --trace ${name}.${codec})
+    set(tag ${name}.${codec})
+    run(analyze.${tag} "${ANALYZE}" ${input} --history-out analyze.${tag}.json)
+    run(stream.${tag} "${STREAM}" ${input} --history-out stream.${tag}.json)
+    foreach(shards 1 3)
+      run(cluster${shards}.${tag} "${CLUSTER}" ${input} --shards ${shards}
+          --history-out cluster${shards}.${tag}.json)
+    endforeach()
+
+    foreach(tool analyze stream cluster1 cluster3)
+      expect_same(analyze.${name}.tsv.json ${tool}.${tag}.json)
+    endforeach()
+    foreach(tool stream cluster1 cluster3)
+      expect_same(stream.${name}.tsv.out ${tool}.${tag}.out)
+    endforeach()
+
+    file(READ "${WORK_DIR}/analyze.${tag}.out" head)
+    if(NOT head MATCHES "^# estimator: [^,]+, ([0-9]+) lookups analyzed")
+      message(FATAL_ERROR "analyze.${tag}: no '# estimator' header")
+    endif()
+    set(tuples ${CMAKE_MATCH_1})
+    table_matched(analyze.${tag} matched)
+    foreach(tool stream cluster1 cluster3)
+      table_matched(${tool}.${tag} table)
+      if(NOT table EQUAL matched)
+        message(FATAL_ERROR "${tool}.${tag}: table matches ${table} lookups, analyze ${matched}")
+      endif()
+      expect_tally(${tool}.${tag} ${tuples} ${matched})
+    endforeach()
+  endforeach()
+  set(tuples ${tuples} PARENT_SCOPE)
+  set(matched ${matched} PARENT_SCOPE)
+endfunction()
+
+set(meter --family newGoZ --servers 4 --epochs 2)
 run(simulate "${SIMULATE}" --family newGoZ --bots 96 --servers 4 --epochs 2
     --seed 7)
 file(RENAME "${WORK_DIR}/simulate.out" "${WORK_DIR}/trace.tsv")
-run(convert "${CONVERT}" --to binary --in trace.tsv --out trace.btb)
+chart(trace ${meter})
+set(bot_tuples ${tuples})
+set(bot_matched ${matched})
 
-set(meter --family newGoZ --servers 4 --epochs 2)
-foreach(codec tsv btb)
-  set(input ${meter} --trace trace.${codec})
-  run(analyze.${codec} "${ANALYZE}" ${input} --history-out analyze.${codec}.json)
-  run(stream.${codec} "${STREAM}" ${input} --history-out stream.${codec}.json)
-  foreach(shards 1 3)
-    run(cluster${shards}.${codec} "${CLUSTER}" ${input} --shards ${shards}
-        --history-out cluster${shards}.${codec}.json)
-  endforeach()
+# The same lookups with one benign (unmatched) twin after every line, CRLF
+# endings on the twins: several text read buffers of mixed traffic.
+file(READ "${WORK_DIR}/trace.tsv" text)
+string(REGEX REPLACE "([0-9]+)\t([0-9]+)\t([^\n]+)\n"
+       "\\1\t\\2\t\\3\n\\1\t\\2\tbenign.\\3.example\r\n" text "${text}")
+file(WRITE "${WORK_DIR}/mixed.tsv" "${text}")
+file(SIZE "${WORK_DIR}/mixed.tsv" mixed_bytes)
+if(mixed_bytes LESS 1048576)
+  message(FATAL_ERROR "mixed.tsv is only ${mixed_bytes} bytes")
+endif()
+chart(mixed ${meter})
+math(EXPR twice "2 * ${bot_tuples}")
+if(NOT tuples EQUAL twice OR NOT matched EQUAL bot_matched)
+  message(FATAL_ERROR "mixed trace: ${tuples} tuples, ${matched} matched; "
+                      "expected ${twice} and ${bot_matched}")
+endif()
 
-  foreach(tool analyze stream cluster1 cluster3)
-    expect_same(analyze.tsv.json ${tool}.${codec}.json)
-  endforeach()
-  foreach(tool stream cluster1 cluster3)
-    expect_same(stream.tsv.out ${tool}.${codec}.out)
-  endforeach()
+# A sliding-window family: a domain sits in several epochs' pools, so
+# attribution picks the closest one.
+set(ranbyus --family Ranbyus --servers 4 --epochs 3 --first-epoch 40)
+run(simulate.ranbyus "${SIMULATE}" ${ranbyus} --bots 16 --seed 11)
+file(RENAME "${WORK_DIR}/simulate.ranbyus.out" "${WORK_DIR}/ranbyus.tsv")
+chart(ranbyus ${ranbyus})
+if(matched EQUAL 0)
+  message(FATAL_ERROR "ranbyus trace matched nothing")
+endif()
 
-  file(READ "${WORK_DIR}/analyze.${codec}.out" head)
-  if(NOT head MATCHES "^# estimator: [^,]+, ([0-9]+) lookups analyzed")
-    message(FATAL_ERROR "analyze.${codec}: no '# estimator' header")
-  endif()
-  set(tuples ${CMAKE_MATCH_1})
-  table_matched(analyze.${codec} matched)
-  foreach(name stream.${codec} cluster1.${codec} cluster3.${codec})
-    table_matched(${name} table)
-    if(NOT table EQUAL matched)
-      message(FATAL_ERROR "${name}: table matches ${table} lookups, analyze ${matched}")
-    endif()
-    expect_tally(${name} ${tuples} ${matched})
-  endforeach()
-endforeach()
-
+set(tuples ${bot_tuples})
+set(matched ${bot_matched})
 # Compact state small enough to spill every cell and saturate its sketch:
 # the approximate bands must print "~" in both tools alike.
 set(compact ${meter} --trace trace.btb --compact-state --compact-spill 64

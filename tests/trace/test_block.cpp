@@ -87,9 +87,11 @@ TEST(TraceBlockTest, StringTablePast64kDistinctDomains) {
   std::vector<dns::ForwardedLookup> lookups;
   lookups.reserve(kDistinct);
   for (std::uint32_t d = 0; d < kDistinct; ++d) {
-    lookups.push_back(dns::ForwardedLookup{TimePoint{d},
-                                           dns::ServerId{d % 4},
-                                           "d" + std::to_string(d) + ".net"});
+    std::string domain = "d";
+    domain += std::to_string(d);
+    domain += ".net";
+    lookups.push_back(dns::ForwardedLookup{TimePoint{d}, dns::ServerId{d % 4},
+                                           std::move(domain)});
   }
   std::istringstream is(encode(lookups, 1 << 14));
   BlockReader reader(is);
@@ -114,8 +116,10 @@ TEST(TraceBlockTest, ShortDomainArenaEntriesStayValidAcrossBlocks) {
   // the exact domains after the whole file is read.
   std::vector<dns::ForwardedLookup> lookups;
   for (int i = 0; i < 500; ++i) {
-    lookups.push_back(dns::ForwardedLookup{TimePoint{i}, dns::ServerId{0},
-                                           "d" + std::to_string(i)});
+    std::string domain = "d";
+    domain += std::to_string(i);
+    lookups.push_back(
+        dns::ForwardedLookup{TimePoint{i}, dns::ServerId{0}, std::move(domain)});
   }
   std::istringstream is(encode(lookups, 1));  // one tuple (and domain)/block
   BlockReader reader(is);
@@ -252,7 +256,9 @@ TEST(TraceBlockTest, TruncationAnywhereIsALocatedError) {
     } catch (const DataError&) {
       threw = true;
     }
-    if (!threw) EXPECT_EQ(tuples % 32, 0u) << "cut at " << cut;
+    if (!threw) {
+      EXPECT_EQ(tuples % 32, 0u) << "cut at " << cut;
+    }
   }
 }
 

@@ -147,22 +147,23 @@ int run(const botmeter::tools::CliArgs& args) {
   };
 
   // Ingest: the union feed is scattered across shards by the router.
-  // Health samples ride the ingest thread periodically (they enqueue one
-  // sample item per shard); merged-epoch lines print as the frontier moves.
+  // Health samples ride the ingest thread once per trace block or every
+  // 16384 --simulate tuples (they enqueue one sample item per shard);
+  // merged-epoch lines print as the frontier moves.
   std::uint64_t ingest_tick = 0;
   tools::FeedSinks feed;
+  feed.matcher = &runtime.meter().matcher();
+  feed.resolved = [&](const dns::LookupColumns& block) {
+    runtime.ingest_resolved(block);
+    if (live) (void)runtime.sample_health(wall.ms());
+    print_merged();
+  };
   feed.tuple = [&](const dns::ForwardedLookup& lookup) {
     runtime.ingest(lookup);
     if ((++ingest_tick & 0x3FFF) == 0) {
       if (live) (void)runtime.sample_health(wall.ms());
       print_merged();
     }
-  };
-  feed.block = [&](const dns::LookupColumns& block,
-                    std::span<const std::string_view> table) {
-    runtime.ingest_block(block, table);
-    if (live) (void)runtime.sample_health(wall.ms());
-    print_merged();
   };
   const tools::Stopwatch ingest_clock;
   tools::run_feed(args, options, feed);

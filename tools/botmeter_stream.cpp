@@ -1,8 +1,8 @@
 // botmeter_stream — chart a DGA-botnet landscape *incrementally* from a live
 // or replayed border feed.
 //
-// Unlike botmeter_analyze (which materialises the whole trace, then runs the
-// batch pipeline), this tool pushes tuples one at a time through
+// Unlike botmeter_analyze (which matches the whole trace, then estimates
+// every epoch at once), this tool pushes the feed block by block through
 // stream::StreamEngine: memory stays bounded by the active epoch window, an
 // estimate line is printed the moment each epoch closes, and the final
 // landscape is bit-identical to what botmeter_analyze would print on the
@@ -30,7 +30,7 @@ constexpr const char* kSynopsis =
     "         [--health-degraded-late-rate x] [--health-unhealthy-late-rate x]\n"
     "         [--health-recovery-hold-ms n]\n";
 constexpr const char* kHelp =
-    "ingests the feed tuple by tuple (binary traces block by block) and\n"
+    "ingests the feed block by block (--simulate tuple by tuple) and\n"
     "prints one line per closed epoch plus the final landscape,\n"
     "bit-identical to botmeter_analyze. Checkpoints are\n"
     "botmeter.stream_checkpoint.v1. --metrics-out writes a\n"
@@ -142,22 +142,21 @@ int run(const botmeter::tools::CliArgs& args) {
   });
 
   // Health samples ride the ingest thread (engine accessors are not
-  // synchronized against ingest): one every 4096 tuples is ample —
-  // sub-second cadence at realistic rates, invisible in the profile. Binary
-  // blocks (<= 64k tuples) take one sample each, close enough to that
-  // cadence for the monitor's thresholds.
+  // synchronized against ingest): one per trace block (a text buffer refill
+  // or a binary block), one every 4096 tuples of a --simulate feed — both
+  // sub-second at realistic rates and invisible in the profile.
   std::uint64_t ingest_tick = 0;
   tools::FeedSinks feed;
+  feed.matcher = &engine.meter().matcher();
+  feed.resolved = [&](const dns::LookupColumns& block) {
+    engine.ingest_resolved(block);
+    if (monitor) monitor->sample(engine, wall.ms());
+  };
   feed.tuple = [&](const dns::ForwardedLookup& lookup) {
     engine.ingest(lookup);
     if (monitor && (++ingest_tick & 0xFFF) == 0) {
       monitor->sample(engine, wall.ms());
     }
-  };
-  feed.block = [&](const dns::LookupColumns& block,
-                    std::span<const std::string_view> table) {
-    engine.ingest_block(block, table);
-    if (monitor) monitor->sample(engine, wall.ms());
   };
   feed.worker_threads = config.worker_threads;
   feed.metrics = config.meter.metrics;

@@ -4,8 +4,9 @@
 // greppable, diffable, collector-friendly. The binary columnar format
 // (trace/block.hpp, schema botmeter.trace_block.v1) is the hot-path codec
 // botmeter_stream and botmeter_analyze ingest at block speed. This tool
-// converts either direction, streaming block-by-block / line-by-line, so
-// memory stays bounded no matter how long the trace is. Converting
+// converts either direction, streaming block by block (text is decoded one
+// read buffer at a time), so memory stays bounded by the block and buffer
+// sizes plus the binary writer's table of distinct domains. Converting
 // text → binary → text reproduces the input byte for byte (for traces in
 // the canonical form write_observable emits).
 //
@@ -71,8 +72,13 @@ int main(int argc, char** argv) {
           "--block-tuples", static_cast<std::int64_t>(trace::kDefaultBlockTuples));
       if (block_tuples <= 0) throw ConfigError("--block-tuples must be > 0");
       trace::BlockWriter writer(out, static_cast<std::size_t>(block_tuples));
-      tuples = trace::for_each_observable(
-          in, [&writer](const dns::ForwardedLookup& l) { writer.append(l); });
+      tuples = trace::for_each_text_block(
+          in, [&writer](const trace::TextColumns& text) {
+            for (std::size_t i = 0; i < text.size(); ++i) {
+              writer.append(TimePoint{text.t_ms[i]},
+                            dns::ServerId{text.server[i]}, text.domain[i]);
+            }
+          });
       writer.finish();
       blocks = static_cast<std::size_t>(writer.blocks_written());
       domains = writer.domain_count();

@@ -11,6 +11,7 @@
 #include "dga/families.hpp"
 #include "common/parallel.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "trace/block.hpp"
 #include "trace/io.hpp"
 #include "viz/landscape.hpp"
@@ -202,9 +203,38 @@ void read_trace_input(const CliArgs& args,
 void run_feed(const CliArgs& args, const MeterOptions& options,
               const FeedSinks& sinks) {
   if (!args.flag("--simulate")) {
-    read_trace_input(args, [&sinks](std::istream& in, bool binary) {
-      (void)(binary ? trace::for_each_block(in, sinks.block)
-                    : trace::for_each_observable(in, sinks.tuple));
+    const detect::DomainMatcher& matcher = *sinks.matcher;
+    std::vector<detect::DomainMatcher::Resolved> resolved;  // one text block
+    std::vector<detect::DomainMatcher::Resolved> remap;     // binary table
+    std::vector<std::uint32_t> entries;
+    const auto text_block = [&](const trace::TextColumns& text) {
+      resolved.resize(text.size());
+      {
+        obs::ScopedTimer span(sinks.trace, "feed.resolve_many");
+        matcher.resolve_many(text.domain, resolved);
+      }
+      entries.resize(text.size());
+      for (std::size_t i = 0; i < text.size(); ++i) {
+        entries[i] = resolved[i].entry();
+      }
+      sinks.resolved(dns::LookupColumns{text.t_ms, text.server, entries});
+    };
+    // The reader has checked every id against its table.
+    const auto binary_block = [&](const dns::LookupColumns& block,
+                                  std::span<const std::string_view> table) {
+      if (table.size() > remap.size()) {
+        obs::ScopedTimer span(sinks.trace, "feed.resolve_many");
+        matcher.resolve_tail(table, remap);
+      }
+      entries.resize(block.size());
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        entries[i] = remap[block.domain[i]].entry();
+      }
+      sinks.resolved(dns::LookupColumns{block.t_ms, block.server, entries});
+    };
+    read_trace_input(args, [&](std::istream& in, bool binary) {
+      (void)(binary ? trace::for_each_block(in, binary_block)
+                    : trace::for_each_text_block(in, text_block));
     });
     return;
   }

@@ -21,6 +21,7 @@
 #include "cli_util.hpp"
 #include "common/json.hpp"
 #include "core/botmeter.hpp"
+#include "detect/matcher.hpp"
 #include "dns/vantage.hpp"
 #include "obs/event_journal.hpp"
 #include "obs/http_exporter.hpp"
@@ -133,13 +134,17 @@ void write_json_file(const std::string& path, const json::Value& value,
 void read_trace_input(const CliArgs& args,
                       const std::function<void(std::istream&, bool binary)>& read);
 
-/// A live tool's ingest sinks. Text and --simulate feed tuple by tuple,
-/// binary traces block by block through the zero-copy path. A --simulate
-/// generator shares the tool's worker budget and telemetry sinks.
+/// A tool's ingest sinks. A trace of either codec arrives as blocks of
+/// resolved columns: `block.domain[i]` is tuple i's matcher entry id
+/// (DomainMatcher::kNoEntry for traffic no window holds), resolved against
+/// `matcher` — text blocks with one resolve_many per decoded buffer, binary
+/// blocks through a remap of the file's string table. --simulate feeds
+/// `tuple` instead, and its generator shares the tool's worker budget and
+/// telemetry sinks.
 struct FeedSinks {
+  const detect::DomainMatcher* matcher = nullptr;
+  std::function<void(const dns::LookupColumns&)> resolved;
   std::function<void(const dns::ForwardedLookup&)> tuple;
-  std::function<void(const dns::LookupColumns&, std::span<const std::string_view>)>
-      block;
   std::size_t worker_threads = 1;
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSession* trace = nullptr;
