@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -141,8 +142,10 @@ BENCHMARK(BM_BernoulliCoverageInversion);
 // table hides the per-cell cost. The cell carries the model's expected
 // statistics at N: E[distinct] NXD positions forwarded E[forwards] times in
 // all, so the estimate lands near N — in the coverage regime at 16 bots and
-// the forwarded-count regime at 1024 and 16384.
-void BM_BernoulliInterval(benchmark::State& state) {
+// the forwarded-count regime at 1024 and above. The thinned lane assumes a
+// 0.2 miss rate, so every forward takes one thinning draw.
+void bernoulli_interval(benchmark::State& state,
+                        std::optional<double> miss_rate) {
   const dga::DgaConfig config = dga::newgoz_config();
   auto pool_model = dga::make_pool_model(config);
   const dga::EpochPool& pool = pool_model->epoch_pool(0);
@@ -152,12 +155,13 @@ void BM_BernoulliInterval(benchmark::State& state) {
   obs.config = &config;
   obs.pool = &pool;
   obs.window = &window;
+  obs.assumed_miss_rate = miss_rate;
   const auto distinct = static_cast<std::uint32_t>(
       estimators::BernoulliEstimator::expected_coverage(pool, config, bots,
-                                                        {}));
+                                                        miss_rate));
   const auto forwards = static_cast<std::uint32_t>(
       estimators::BernoulliEstimator::expected_forward_count(
-          pool, config, bots, obs.ttl.negative, obs.window_length, {}));
+          pool, config, bots, obs.ttl.negative, obs.window_length, miss_rate));
   std::vector<std::uint32_t> nxds;
   for (std::uint32_t d = 0; d < pool.size() && nxds.size() < distinct; ++d) {
     if (!pool.is_valid_position(d)) nxds.push_back(d);
@@ -171,10 +175,20 @@ void BM_BernoulliInterval(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_BernoulliInterval(benchmark::State& state) {
+  bernoulli_interval(state, std::nullopt);
+}
 BENCHMARK(BM_BernoulliInterval)
-    ->Arg(16)
+    ->RangeMultiplier(4)
+    ->Range(16, 16384)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BernoulliIntervalThinned(benchmark::State& state) {
+  bernoulli_interval(state, 0.2);
+}
+BENCHMARK(BM_BernoulliIntervalThinned)
     ->Arg(1024)
-    ->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EpochSimulation(benchmark::State& state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -346,6 +347,21 @@ void sort_nearly_sorted(std::vector<T>& v, Key key) {
 /// so a link only scans the active bots with t0 >= bound - reach and stops
 /// at the first t0 past the best arrival found, skipping the bots the TTL
 /// blocks. Both compute the same chain over the same arrivals.
+///
+/// Between two domains with no run entering or leaving, every arrival moves
+/// up by exactly one step, and the greedy chain is invariant under a common
+/// shift: the same bots forward, minus those whose arrival passes the
+/// window's end. So the chain's member ranks carry over from domain to
+/// domain, and a domain with no toggle only drops the members now past the
+/// window. A toggle reaches only part of the chain: a run entering with
+/// arrival t0 leaves the members arriving before t0 in place, and a leaving
+/// bot that never forwarded changes nothing, so only the chain's suffix
+/// from the first link a toggle reaches is rebuilt. Doubles shift only up
+/// to rounding, so each decision's distance from a tie is recorded (an
+/// arrival the bound blocks, the chosen arrival against the bound, the
+/// runner-up against the chosen one), and the chain carries over only while
+/// the smallest of them clears kShiftGuard; otherwise the next domain
+/// builds it afresh.
 class ForwardSweep {
  public:
   ForwardSweep(const std::vector<std::uint32_t>& run, std::uint32_t theta_q,
@@ -415,16 +431,62 @@ class ForwardSweep {
       }
     }
 
+    // chain_ carries over from domain d - 1 while `reusable`; margin_ is
+    // the smallest distance from a tie among the decisions it holds.
     double forwards = 0.0;
+    bool reusable = false;
     for (std::uint32_t d = 0; d < size; ++d) {
+      // Leading members whose decisions no toggle at d can change.
+      std::size_t kept = reusable ? chain_.size() : 0;
+      bool extend = !reusable;
       for (std::uint32_t e = offsets_[d]; e < offsets_[d + 1]; ++e) {
-        active = toggle(events_[e]) ? active + 1 : active - 1;
+        const std::uint32_t rank = events_[e];
+        if (toggle(rank)) {
+          ++active;
+          // A run enters at its start, arriving at t0: the members
+          // arriving more than the guard before it keep their links.
+          kept = members_before(d, arrival(rank, d) - kShiftGuard, kept);
+          extend = true;
+        } else {
+          --active;
+          // A leaving bot only matters if it forwarded.
+          const auto member = static_cast<std::size_t>(
+              std::find(chain_.begin(),
+                        chain_.begin() + static_cast<std::ptrdiff_t>(kept),
+                        rank) -
+              chain_.begin());
+          if (member < kept) {
+            kept = member;
+            extend = true;
+          }
+        }
       }
-      if (active == 0) continue;
-      const bool sparse =
-          static_cast<double>(active) * ttl_ < kSortedArrivalsPerTtl;
-      forwards += sparse ? sorted_chain(d, rng, keep)
-                         : queried_chain(d, rng, keep);
+      if (active == 0) {
+        reusable = false;
+        continue;
+      }
+      chain_.resize(kept);
+      while (!chain_.empty() && arrival(chain_.back(), d) >= 1.0) {
+        chain_.pop_back();  // passed the window's end
+      }
+      if (extend) {
+        if (chain_.empty()) margin_ = std::numeric_limits<double>::infinity();
+        const double bound =
+            chain_.empty() ? -1.0 : arrival(chain_.back(), d) + ttl_;
+        const bool sparse =
+            static_cast<double>(active) * ttl_ < kSortedArrivalsPerTtl;
+        margin_ = std::min(margin_, sparse ? sorted_links(d, bound)
+                                           : queried_links(d, bound));
+        reusable = margin_ > kShiftGuard;
+      }
+      // The thinning draws run in chain order, one per forward.
+      if (keep >= 1.0) {
+        forwards += static_cast<double>(chain_.size());
+      } else {
+        for (std::size_t m = 0; m < chain_.size(); ++m) {
+          if (rng.bernoulli(keep)) forwards += 1.0;
+        }
+      }
     }
     return forwards;
   }
@@ -435,9 +497,31 @@ class ForwardSweep {
     std::uint32_t start;
   };
 
+  struct Arrival {
+    double t;
+    std::uint32_t rank;
+  };
+
+  /// One chain link's answer: the earliest arrival at or after the bound
+  /// and the rank it came from, the next arrival after it (or the window's
+  /// end), and the latest arrival the bound blocks.
+  struct Link {
+    double t = 1.0;
+    std::uint32_t rank = 0;
+    double runner_up = 1.0;
+    double blocked = -std::numeric_limits<double>::infinity();
+  };
+
   /// Below this many arrivals per TTL window, sorting a domain's arrivals
   /// whole is cheaper than one rank-index query per chain link.
   static constexpr double kSortedArrivalsPerTtl = 6.0;
+
+  /// A chain is reused only while every decision that built it cleared a
+  /// tie by more than this. Arrivals inside the window are below 1, where
+  /// t0 + k * step rounds by ~1e-16, so a decision this far from a tie keeps
+  /// its side under any shift; the scan's reach slack (~1e-9) sits far
+  /// above it.
+  static constexpr double kShiftGuard = 1e-12;
 
   /// Arrival of the bot at `rank` at domain d.
   [[nodiscard]] double arrival(std::size_t rank, std::uint32_t d) const {
@@ -449,42 +533,61 @@ class ForwardSweep {
     return bot.t0 + k * step_;
   }
 
-  /// Kept forwards of domain d: its arrivals, gathered in t0 order (so
-  /// nearly sorted: each lies within reach of its t0), sorted and scanned
-  /// greedily.
-  double sorted_chain(std::uint32_t d, Rng& rng, double keep) {
-    arrivals_.clear();
-    visit_active(0, [&](std::size_t rank) {
-      arrivals_.push_back(arrival(rank, d));
-      return true;
-    });
-    sort_nearly_sorted(arrivals_, [](double t) { return t; });
-    double forwards = 0.0;
-    double blocked_until = -1.0;
-    for (const double t : arrivals_) {
-      if (t >= 1.0) break;  // spilled past the window
-      if (t >= blocked_until) {
-        if (keep >= 1.0 || rng.bernoulli(keep)) forwards += 1.0;
-        blocked_until = t + ttl_;
-      }
-    }
-    return forwards;
+  /// Number of the first `count` chain members arriving at d before x.
+  [[nodiscard]] std::size_t members_before(std::uint32_t d, double x,
+                                           std::size_t count) const {
+    return static_cast<std::size_t>(
+        std::partition_point(
+            chain_.begin(), chain_.begin() + static_cast<std::ptrdiff_t>(count),
+            [&](std::uint32_t rank) { return arrival(rank, d) < x; }) -
+        chain_.begin());
   }
 
-  /// Kept forwards of domain d, one earliest-arrival query per chain link.
-  /// A dense domain's TTL is at least kSortedArrivalsPerTtl / active, far
-  /// above the spacing of doubles below 1, so t + ttl > t: arrivals tied
-  /// with a forward are blocked by it, as in the sorted scan.
-  double queried_chain(std::uint32_t d, Rng& rng, double keep) const {
-    double forwards = 0.0;
-    double bound = -1.0;
-    while (bound < 1.0) {
-      const double t = earliest_arrival(d, bound);
-      if (t >= 1.0) break;  // none left inside the window
-      if (keep >= 1.0 || rng.bernoulli(keep)) forwards += 1.0;
-      bound = t + ttl_;
+  /// Extends domain d's chain past `bound` from the arrivals that can reach
+  /// it, gathered in t0 order (so nearly sorted: each lies within reach of
+  /// its t0), sorted and scanned greedily. Returns the new decisions'
+  /// margin from a tie.
+  double sorted_links(std::uint32_t d, double bound) {
+    arrivals_.clear();
+    visit_active(first_rank(bound - reach_), [&](std::size_t rank) {
+      arrivals_.push_back({arrival(rank, d), static_cast<std::uint32_t>(rank)});
+      return true;
+    });
+    sort_nearly_sorted(arrivals_, [](const Arrival& a) { return a.t; });
+    double margin = std::numeric_limits<double>::infinity();
+    double blocked_until = bound;
+    for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+      const double t = arrivals_[i].t;
+      if (t >= 1.0) break;  // spilled past the window
+      if (t >= blocked_until) {
+        chain_.push_back(arrivals_[i].rank);
+        const double runner_up =
+            i + 1 < arrivals_.size() ? std::min(arrivals_[i + 1].t, 1.0) : 1.0;
+        margin = std::min({margin, t - blocked_until, runner_up - t});
+        blocked_until = t + ttl_;
+      } else {
+        margin = std::min(margin, blocked_until - t);
+      }
     }
-    return forwards;
+    return margin;
+  }
+
+  /// Extends domain d's chain past `bound`, one earliest-arrival query per
+  /// link. A dense domain's TTL is at least kSortedArrivalsPerTtl / active,
+  /// far above the spacing of doubles below 1, so t + ttl > t: arrivals
+  /// tied with a forward are blocked by it, as in the sorted scan. Returns
+  /// the new decisions' margin from a tie.
+  double queried_links(std::uint32_t d, double bound) {
+    double margin = std::numeric_limits<double>::infinity();
+    while (bound < 1.0) {
+      const Link link = earliest_arrival(d, bound);
+      margin = std::min(margin, bound - link.blocked);
+      if (link.t >= 1.0) break;  // none left inside the window
+      chain_.push_back(link.rank);
+      margin = std::min({margin, link.t - bound, link.runner_up - link.t});
+      bound = link.t + ttl_;
+    }
+    return margin;
   }
 
   /// Monotone in t, so ranks before bucket_start_[bucket_of(x)] have t0 < x.
@@ -546,17 +649,31 @@ class ForwardSweep {
   }
 
   /// Earliest arrival at domain d at or after `bound`; 1.0 (the window's
-  /// end) when every such arrival falls past the window.
-  [[nodiscard]] double earliest_arrival(std::uint32_t d, double bound) const {
-    double best = 1.0;
+  /// end) when every such arrival falls past the window. The ranks the scan
+  /// skips lie well clear of the link's decisions: those before it arrive
+  /// more than the reach slack below the bound, those past its stop no
+  /// earlier than the stopping rank's t0.
+  [[nodiscard]] Link earliest_arrival(std::uint32_t d, double bound) const {
+    Link link;
     visit_active(first_rank(bound - reach_), [&](std::size_t rank) {
       // Every later arrival is later still.
-      if (bots_[rank].t0 > best) return false;
+      if (bots_[rank].t0 > link.t) {
+        link.runner_up = std::min(link.runner_up, bots_[rank].t0);
+        return false;
+      }
       const double t = arrival(rank, d);
-      if (t >= bound && t < best) best = t;
+      if (t < bound) {
+        link.blocked = std::max(link.blocked, t);
+      } else if (t < link.t) {
+        link.runner_up = link.t;
+        link.t = t;
+        link.rank = static_cast<std::uint32_t>(rank);
+      } else if (t < link.runner_up) {
+        link.runner_up = t;
+      }
       return true;
     });
-    return best;
+    return link;
   }
 
   const std::vector<std::uint32_t>& run_;
@@ -571,7 +688,9 @@ class ForwardSweep {
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> fill_;
   std::vector<std::uint32_t> events_;
-  std::vector<double> arrivals_;
+  std::vector<Arrival> arrivals_;
+  std::vector<std::uint32_t> chain_;  // ranks of the current chain's members
+  double margin_ = 0.0;
 };
 
 /// The sufficient statistic of the coverage/forward methods, producible from

@@ -320,26 +320,42 @@ void StreamEngine::ingest_entries(const dns::LookupColumns& block,
           nominal_end = nominal_start + epoch_ms;
         }
         EntryMemo& memo = memo_[e];
-        if (memo.nominal != nominal) {
+        std::int64_t epoch = 0;
+        detect::MatchedLookup lookup{TimePoint{t_ms}, 0, false};
+        if (memo.nominal == nominal) {
+          epoch = nominal + memo.epoch_delta;
+          lookup.pool_position = memo.position_valid & ~EntryMemo::kValidBit;
+          lookup.is_valid_domain =
+              (memo.position_valid & EntryMemo::kValidBit) != 0;
+        } else {
           const detect::DomainMatcher::MatchOutcome outcome =
               matcher.match_resolved(detect::DomainMatcher::Resolved(e),
                                      TimePoint{t_ms},
                                      dns::ServerId{block.server[i]}, nominal);
-          memo.nominal = nominal;
-          memo.epoch = outcome.key.epoch;
-          memo.position = outcome.lookup.pool_position;
-          memo.valid = outcome.lookup.is_valid_domain;
+          epoch = outcome.key.epoch;
+          lookup.pool_position = outcome.lookup.pool_position;
+          lookup.is_valid_domain = outcome.lookup.is_valid_domain;
+          const std::int64_t delta = epoch - nominal;
+          if (delta >= std::numeric_limits<std::int32_t>::min() &&
+              delta <= std::numeric_limits<std::int32_t>::max() &&
+              lookup.pool_position < EntryMemo::kValidBit) {
+            memo.nominal = nominal;
+            memo.epoch_delta = static_cast<std::int32_t>(delta);
+            memo.position_valid =
+                lookup.pool_position |
+                (lookup.is_valid_domain ? EntryMemo::kValidBit : 0);
+          } else {
+            memo.nominal = std::numeric_limits<std::int64_t>::min();
+          }
         }
-        if (memo.epoch < open_floor) {
+        if (epoch < open_floor) {
           ++late;
         } else {
           ++matched;
           append_matched(
-              *bucket_for(detect::StreamKey{dns::ServerId{block.server[i]},
-                                            memo.epoch}),
-              memo.epoch,
-              detect::MatchedLookup{TimePoint{t_ms}, memo.position,
-                                    memo.valid});
+              *bucket_for(
+                  detect::StreamKey{dns::ServerId{block.server[i]}, epoch}),
+              epoch, lookup);
           ++resident;
         }
       } else {

@@ -321,13 +321,16 @@ class StreamEngine {
   /// The matcher's (epoch, pool_position, is_valid) answer depends only on
   /// (domain, nominal epoch), and lookup trains repeat a domain many times
   /// within one epoch, so the memo turns most tuples into a single indexed
-  /// load with no occurrence scan.
+  /// load with no occurrence scan. The answer's epoch is kept as its
+  /// distance from the nominal epoch and is_valid as the position's top
+  /// bit; an answer that does not fit is not memoized.
   struct EntryMemo {
+    static constexpr std::uint32_t kValidBit = std::uint32_t{1} << 31;
     std::int64_t nominal = std::numeric_limits<std::int64_t>::min();
-    std::int64_t epoch = 0;
-    std::uint32_t position = 0;
-    bool valid = false;
+    std::int32_t epoch_delta = 0;
+    std::uint32_t position_valid = 0;  // pool_position | kValidBit if valid
   };
+  static_assert(sizeof(EntryMemo) == 16);
 
   /// Indexed by Resolved::entry(), sized to the matcher on the first block.
   /// Derived state (a pure function of the matcher) — never checkpointed.

@@ -10,7 +10,10 @@
 // with arrivals on the TTL scale, a barrel far shorter than its pool, runs
 // spanning most of the window, and a short negative TTL under which one
 // bot's run outlasts the TTL. The literals were produced by the per-bot walk
-// re-simulation that the domain-sweep kernel replaced. Observations are
+// re-simulation that the domain-sweep kernel replaced. The cells that
+// exercise chain reuse (thinning draws over reused chains, chain members
+// leaving the window, few bots on long arcs, 16384 bots) were recorded from
+// the domain sweep before it reused chains across domains. Observations are
 // synthesised directly from a seeded RNG so the goldens depend only on the
 // estimator, not on the simulator.
 #include <gtest/gtest.h>
@@ -198,6 +201,11 @@ class BernoulliGoldenTest : public ::testing::Test {
     // Two arcs of 99 NXDs; a run of up to 99 queries 20 s apart spans most
     // of an hour-long window.
     make_ring(long_runs_, long_runs_pool_, 200, {0, 100}, 150, seconds(20));
+    // Two arcs of 14999 NXDs walked one second apart: a run lasts up to
+    // about four hours, so a handful of bots leave thousands of domains
+    // between consecutive run starts and ends.
+    make_ring(long_arcs_, long_arcs_pool_, 30000, {0, 15000}, 15000,
+              seconds(1));
   }
 
   CellSpec newgoz(std::uint32_t bots, std::optional<double> miss = {}) const {
@@ -231,6 +239,8 @@ class BernoulliGoldenTest : public ::testing::Test {
   dga::EpochPool short_barrel_pool_;
   dga::DgaConfig long_runs_;
   dga::EpochPool long_runs_pool_;
+  dga::DgaConfig long_arcs_;
+  dga::EpochPool long_arcs_pool_;
 };
 
 TEST_F(BernoulliGoldenTest, NewGoZ) {
@@ -328,6 +338,57 @@ TEST_F(BernoulliGoldenTest, ShortNegativeTtlLongChains) {
   spec.miss_rate = 0.2;
   expect_golden(spec, Regime::kForward,
                 {0x1.f5567d14p+9, 0x1.ecc84384p+9, 0x1.fde5f134p+9});
+}
+
+TEST_F(BernoulliGoldenTest, ThinnedDrawsOverReusedChains) {
+  // At 1024 bots most newGoZ domains see no run start or end, so one
+  // domain's forward chain carries on to the next; keep < 1 draws once per
+  // chain member there.
+  CellSpec spec = newgoz(1024, 0.2);
+  spec.seed = 0xD7A4;
+  expect_golden(spec, Regime::kForward,
+                {0x1.fa2e94d4p+9, 0x1.d2dc56a2p+9, 0x1.1342bd4ap+10});
+  spec.negative_ttl = hours(6);
+  expect_golden(spec, Regime::kForward,
+                {0x1.b9e3059ep+9, 0x1.70bf10c2p+9, 0x1.2495bdeep+10});
+}
+
+TEST_F(BernoulliGoldenTest, ChainMembersLeaveTheWindow) {
+  // Few bots on the long-runs ring: between run starts and ends, the
+  // arrivals of a chain's last members move past the window's end.
+  CellSpec spec;
+  spec.pool = &long_runs_pool_;
+  spec.config = &long_runs_;
+  spec.bots = 24;
+  spec.window_length = hours(1);
+  spec.negative_ttl = minutes(5);
+  spec.seed = 0x24;
+  expect_golden(spec, Regime::kForward,
+                {0x1.1c0947fap+4, 0x1.9800435ep+3, 0x1.7b9aab22p+4});
+  spec.miss_rate = 0.2;
+  expect_golden(spec, Regime::kForward,
+                {0x1.b3bfac6ap+3, 0x1.21082bb6p+3, 0x1.3191b37ap+4});
+}
+
+TEST_F(BernoulliGoldenTest, FewBotsOnLongArcs) {
+  // One chain stays unchanged across thousands of consecutive domains.
+  CellSpec spec;
+  spec.pool = &long_arcs_pool_;
+  spec.config = &long_arcs_;
+  spec.bots = 16;
+  spec.seed = 0xA4C;
+  expect_golden(spec, Regime::kForward,
+                {0x1.0ae5dd52p+4, 0x1.5c066122p+3, 0x1.7e1684e6p+4});
+  spec.miss_rate = 0.2;
+  expect_golden(spec, Regime::kForward,
+                {0x1.9bbb90e6p+3, 0x1.fbc8cbbcp+2, 0x1.2e120c8ep+4});
+}
+
+TEST_F(BernoulliGoldenTest, DenseSixteenThousandBots) {
+  // The micro benchmark's densest cell: every domain has run starts and
+  // ends, and hundreds of arrivals per negative-TTL window.
+  expect_golden(newgoz(16384), Regime::kForward,
+                {0x1.0087be06p+14, 0x1.b43bc5f2p+13, 0x1.36ec91dap+14});
 }
 
 }  // namespace
